@@ -3,7 +3,6 @@
 from .cfg import (
     critical_edges,
     edges,
-    is_critical_edge,
     num_edges,
     postorder,
     reachable_blocks,
@@ -17,7 +16,7 @@ from .callgraph import CallGraph
 from .alias import AliasResult, alias, constant_offset, points_into, underlying_object
 
 __all__ = [
-    "critical_edges", "edges", "is_critical_edge", "num_edges", "postorder",
+    "critical_edges", "edges", "num_edges", "postorder",
     "reachable_blocks", "remove_unreachable_blocks", "reverse_postorder", "split_edge",
     "DominatorTree",
     "InductionDescriptor", "Loop", "LoopInfo",

@@ -8,7 +8,7 @@ nodes consistent.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..ir.instructions import BranchInst, PhiNode
 from ..ir.module import BasicBlock, Function
@@ -19,8 +19,8 @@ __all__ = [
     "reverse_postorder",
     "edges",
     "num_edges",
+    "predecessor_map",
     "critical_edges",
-    "is_critical_edge",
     "split_edge",
     "remove_unreachable_blocks",
 ]
@@ -84,22 +84,41 @@ def num_edges(func: Function) -> int:
     return len(edges(func))
 
 
-def is_critical_edge(src: BasicBlock, dst: BasicBlock) -> bool:
-    """An edge is critical if src has >1 successor and dst has >1 predecessor."""
-    return len(src.successors()) > 1 and len(dst.predecessors()) > 1
+def predecessor_map(func: Function) -> Dict[BasicBlock, List[BasicBlock]]:
+    """``bb.predecessors()`` of every block, from one walk over the
+    terminators: function order, each predecessor once even with parallel
+    edges, unreachable blocks included.
+
+    For *analyses* that ask about many blocks of an unchanging CFG
+    (``bb.predecessors()`` scans the whole function per call). Passes that
+    query predecessors while mutating keep calling ``bb.predecessors()``.
+    """
+    preds: Dict[BasicBlock, List[BasicBlock]] = {bb: [] for bb in func.blocks}
+    for bb in func.blocks:
+        for succ in bb.successors():
+            incoming = preds.setdefault(succ, [])
+            if not incoming or incoming[-1] is not bb:
+                incoming.append(bb)
+    return preds
 
 
-def critical_edges(func: Function) -> List[Tuple[BasicBlock, BasicBlock]]:
-    # Count distinct (src, dst) pairs once, like LLVM's analysis does.
-    seen: Set[Tuple[int, int]] = set()
+def critical_edges(
+    func: Function,
+    preds: Optional[Dict[BasicBlock, List[BasicBlock]]] = None,
+) -> List[Tuple[BasicBlock, BasicBlock]]:
+    """Edges whose source has >1 successor and whose target has >1
+    predecessor, each distinct (src, dst) pair once like LLVM's analysis;
+    ``preds`` is ``predecessor_map(func)`` when the caller already has it."""
+    if preds is None:
+        preds = predecessor_map(func)
     result = []
-    for src, dst in edges(func):
-        key = (id(src), id(dst))
-        if key in seen:
+    for src in func.blocks:
+        succs = src.successors()
+        if len(succs) < 2:
             continue
-        seen.add(key)
-        if is_critical_edge(src, dst):
-            result.append((src, dst))
+        for dst in dict.fromkeys(succs):
+            if len(preds[dst]) > 1:
+                result.append((src, dst))
     return result
 
 

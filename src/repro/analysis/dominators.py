@@ -11,7 +11,7 @@ from typing import Dict, Iterable, List, Optional, Set
 
 from ..ir.instructions import Instruction, PhiNode
 from ..ir.module import BasicBlock, Function
-from .cfg import postorder
+from .cfg import postorder, predecessor_map
 
 __all__ = ["DominatorTree"]
 
@@ -24,6 +24,8 @@ class DominatorTree:
         order = postorder(func)
         self._rpo: List[BasicBlock] = list(reversed(order))
         self._po_number: Dict[BasicBlock, int] = {bb: i for i, bb in enumerate(order)}
+        # The CFG this tree describes, as of construction; LoopInfo reads it.
+        self.preds: Dict[BasicBlock, List[BasicBlock]] = predecessor_map(func)
         self.idom: Dict[BasicBlock, Optional[BasicBlock]] = {}
         self._children: Dict[BasicBlock, List[BasicBlock]] = {}
         self._compute()
@@ -35,11 +37,14 @@ class DominatorTree:
             return
         entry = self._rpo[0]
         idom: Dict[BasicBlock, Optional[BasicBlock]] = {entry: entry}
+        po = self._po_number
+        reachable_preds = [(bb, [p for p in self.preds[bb] if p in po])
+                           for bb in self._rpo[1:]]
         changed = True
         while changed:
             changed = False
-            for bb in self._rpo[1:]:
-                preds = [p for p in bb.predecessors() if p in idom and p in self._po_number]
+            for bb, candidates in reachable_preds:
+                preds = [p for p in candidates if p in idom]
                 if not preds:
                     continue
                 new_idom = preds[0]
@@ -117,7 +122,7 @@ class DominatorTree:
         """Cytron-style dominance frontiers for phi placement."""
         df: Dict[BasicBlock, Set[BasicBlock]] = {bb: set() for bb in self.idom}
         for bb in self.idom:
-            preds = [p for p in bb.predecessors() if p in self.idom]
+            preds = [p for p in self.preds[bb] if p in self.idom]
             if len(preds) < 2:
                 continue
             for pred in preds:

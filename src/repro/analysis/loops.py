@@ -158,6 +158,7 @@ class LoopInfo:
 
     def _discover(self) -> None:
         dt = self.domtree
+        preds = dt.preds
         header_bodies: Dict[BasicBlock, Set[BasicBlock]] = {}
         for bb in self.func.blocks:
             if not dt.contains(bb):
@@ -166,7 +167,7 @@ class LoopInfo:
                 if dt.contains(succ) and dt.dominates_block(succ, bb):
                     # back edge bb -> succ
                     body = header_bodies.setdefault(succ, {succ})
-                    self._collect_body(succ, bb, body)
+                    self._collect_body(bb, body, preds)
         self.loops = [Loop(h, body) for h, body in header_bodies.items()]
         # Nesting: loop A is inside loop B if A's header is in B's body and A != B.
         self.loops.sort(key=lambda l: len(l.blocks))
@@ -184,14 +185,16 @@ class LoopInfo:
                     self._loop_of[bb] = loop
 
     @staticmethod
-    def _collect_body(header: BasicBlock, latch: BasicBlock, body: Set[BasicBlock]) -> None:
+    def _collect_body(latch: BasicBlock, body: Set[BasicBlock],
+                      preds: Dict[BasicBlock, List[BasicBlock]]) -> None:
+        """Grow ``body`` (seeded with the header) backwards from ``latch``."""
         stack = [latch]
         while stack:
             bb = stack.pop()
             if bb in body:
                 continue
             body.add(bb)
-            stack.extend(bb.predecessors())
+            stack.extend(preds[bb])
 
     # -- queries ------------------------------------------------------------
     def loop_for(self, bb: BasicBlock) -> Optional[Loop]:

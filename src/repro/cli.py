@@ -17,6 +17,7 @@
     python -m repro generalize [--scale ...] [--policy NAME] [--refine K]
     python -m repro models list|show|rm [NAME] [--registry DIR]
     python -m repro profile-hotspots <benchmark> [--passes "..."]
+                          [--phase materialize|profile|all]
                           [--sim-kernels off|on|verify]
                           [--sim-batch off|on|verify]
                           [--sim-simd off|on|verify] [--batch-lanes N]
@@ -305,41 +306,59 @@ def _cmd_profile_hotspots(args) -> int:
     import json
     import pstats
 
-    from .hls.profiler import CycleProfiler
     from .toolchain import clone_module
 
     module = chstone.build(args.benchmark)
     seq = args.passes.split() if args.passes else HLSToolchain().o3_sequence()
-    candidate = clone_module(module)
-    HLSToolchain.apply_passes(candidate, seq)
-    # One *cold* evaluation: a fresh profiler (empty schedule cache), the
-    # path a first-time sequence pays inside the engine.
-    profiler = CycleProfiler(sim_kernels=args.sim_kernels,
+    # One *cold* evaluation: a fresh toolchain (empty memo, trie and
+    # schedule cache) — the path a first-time sequence pays.
+    toolchain = HLSToolchain(sim_kernels=args.sim_kernels,
                              sim_batch=args.sim_batch,
                              sim_simd=args.sim_simd)
+    profiler = toolchain.profiler
     if args.batch_lanes is not None and profiler.sim_batch == "off":
         print("--batch-lanes requires batched execution; it has no effect "
               "with --sim-batch off (serial profiling)", file=sys.stderr)
         return 2
-    lanes = args.batch_lanes if args.batch_lanes is not None else 8
+    if args.batch_lanes is not None and args.phase != "profile":
+        print("--batch-lanes widens the wave of --phase profile; one "
+              f"evaluation (--phase {args.phase}) has no wave", file=sys.stderr)
+        return 2
     run = cProfile.Profile()
-    if profiler.sim_batch != "off":
-        # Profile the batched hot path the engine actually takes for
-        # populations: a wave of execution-equivalent lanes.
-        wave = [candidate] + [clone_module(candidate)
-                              for _ in range(max(1, lanes) - 1)]
-        run.enable()
-        reports = profiler.profile_batch(wave)
-        run.disable()
-        report = reports[0]
-        if isinstance(report, BaseException):
-            raise report
+    cycles = None
+    if args.phase == "profile":
+        candidate = clone_module(module)
+        HLSToolchain.apply_passes(candidate, seq)
+        if profiler.sim_batch != "off":
+            # Profile the batched hot path the engine actually takes for
+            # populations: a wave of execution-equivalent lanes.
+            lanes = args.batch_lanes if args.batch_lanes is not None else 8
+            wave = [candidate] + [clone_module(candidate)
+                                  for _ in range(max(1, lanes) - 1)]
+            run.enable()
+            reports = profiler.profile_batch(wave)
+            run.disable()
+            report = reports[0]
+            if isinstance(report, BaseException):
+                raise report
+        else:
+            run.enable()
+            report = profiler.profile(candidate)
+            run.disable()
+        cycles = report.cycles
     else:
+        # the process-wide kernel/plan caches too, or an in-process caller
+        # that evaluated before would profile a warm simulator
+        toolchain.engine.clear()
         run.enable()
-        report = profiler.profile(candidate)
+        if args.phase == "materialize":
+            toolchain.engine.materialize(module, seq)  # clone + passes only
+        else:
+            cycles = int(toolchain.engine.evaluate(module, seq))
         run.disable()
-    print(f"{args.benchmark}: {report.cycles} cycles after {len(seq)} passes "
-          f"(sim_kernels={profiler.sim_kernels}, "
+    print(f"{args.benchmark}: {'no' if cycles is None else cycles} cycles "
+          f"after {len(seq)} passes (phase={args.phase}, "
+          f"sim_kernels={profiler.sim_kernels}, "
           f"sim_batch={profiler.sim_batch}, sim_simd={profiler.sim_simd})")
     stats = pstats.Stats(run, stream=sys.stdout)
     stats.sort_stats(args.sort).print_stats(args.top)
@@ -356,7 +375,8 @@ def _cmd_profile_hotspots(args) -> int:
                          "tottime": round(tottime, 6),
                          "cumtime": round(cumtime, 6)})
         rows.sort(key=lambda r: r[sort_field], reverse=True)
-        payload = {"benchmark": args.benchmark, "cycles": report.cycles,
+        payload = {"benchmark": args.benchmark, "cycles": cycles,
+                   "phase": args.phase,
                    "passes": len(seq), "sim_kernels": profiler.sim_kernels,
                    "sim_batch": profiler.sim_batch,
                    "sim_simd": profiler.sim_simd,
@@ -700,11 +720,19 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     ph = sub.add_parser("profile-hotspots",
                         help="cProfile one cold evaluation of a benchmark "
-                             "(where does simulator time actually go?)")
+                             "(where does the time of a cache miss go?)")
     ph.add_argument("benchmark", choices=list(chstone.BENCHMARK_NAMES))
     ph.add_argument("--passes", default="",
-                    help="space-separated Table-1 pass names applied before "
-                         "profiling (default: -O3 pipeline)")
+                    help="space-separated Table-1 pass names of the "
+                         "evaluated sequence (default: -O3 pipeline)")
+    ph.add_argument("--phase", choices=["materialize", "profile", "all"],
+                    default="all",
+                    help="what runs under cProfile: 'all' (default) one "
+                         "engine.evaluate of the sequence on a cleared "
+                         "engine — clone, passes, hashing, scheduling, "
+                         "simulation; 'materialize' only clone + passes; "
+                         "'profile' only the cold profile call (or batched "
+                         "wave) on the already optimized module")
     ph.add_argument("--sim-kernels", choices=["off", "on", "verify"],
                     default=None,
                     help="simulation backend under the profile "
@@ -720,8 +748,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                     help="typed-SIMD column tier under batched execution "
                          "(default: $REPRO_SIM_SIMD or 'on')")
     ph.add_argument("--batch-lanes", type=int, default=None,
-                    help="wave width for --sim-batch profiling (default 8; "
-                         "rejected when --sim-batch is 'off')")
+                    help="wave width for '--phase profile' under --sim-batch "
+                         "(default 8; rejected when --sim-batch is 'off' or "
+                         "with another phase)")
     ph.add_argument("--top", type=int, default=25,
                     help="number of stat rows to print (default 25)")
     ph.add_argument("--sort", choices=["cumulative", "tottime", "ncalls"],

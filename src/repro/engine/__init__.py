@@ -28,7 +28,13 @@ the node). Snapshots are immutable: the engine clones *from* them and
 never applies passes *to* them, so there is nothing to invalidate — but
 this relies on callers treating the **base program as immutable** too.
 Mutate clones (``repro.ir.clone_module``), never the module you hand to
-the engine.
+the engine. Ownership: a snapshot may be the very module an evaluation
+profiled (profiling and feature extraction only read), installed as its
+leaf without a clone whenever the visit-count rule promotes the leaf
+(``snapshot_min_visits=1`` promotes every evaluated leaf at once: one
+clone and one pass per step of an RL / inference chain). Modules that
+*leave* the engine (``materialize``, ``evaluate_with_module``) are
+private copies the caller may mutate freely.
 
 **Feature memo.** Key: ``(id(base program), canonical sequence)`` —
 objective-independent, since the Table-2 feature vector depends only on
@@ -43,7 +49,9 @@ get re-walked). Feature queries never profile and never count toward
 
 **Profiler caches** (inside :class:`~repro.hls.profiler.CycleProfiler`):
 per-function FSM state counts are keyed by a *structural hash* of the
-function body (content-addressed — no invalidation needed), and burst-slot
+function body (content-addressed — no invalidation needed); the hashes
+of a module (:func:`repro.hls.hashing.module_structural_keys`, shared
+with the feature extractor and the kernel caches) and its burst-slot
 means are keyed by ``(module, Module.version)``. ``Module.version`` is
 bumped by the PassManager after every pass, so in-place mutation must go
 through a PassManager (as ``HLSToolchain.apply_passes`` does) for the

@@ -107,7 +107,11 @@ class EvaluationEngine:
     max_trie_nodes:    engine-wide bound on cached module snapshots.
     max_memo_entries:  bound on memoized (sequence → objective) results.
     snapshot_min_visits: how often a prefix must be walked before its
-                       snapshot is worth storing (1 = always).
+                       snapshot is worth storing (1 = always: every
+                       evaluated module becomes its leaf's snapshot as
+                       is, which halves the clones and pass runs of an
+                       extend-by-one-pass chain — RL rollouts, policy
+                       inference — and fills the LRU with leaves).
     snapshot_stride:   snapshots are stored only at every ``stride``-th
                        prefix depth (plus the full-sequence node), so one
                        long materialization doesn't pay a module clone
@@ -219,7 +223,7 @@ class EvaluationEngine:
 
         state = self._state_for(program)
         try:
-            module = self._materialize(state, canonical)
+            module = self._materialize(state, canonical, private=want_module)
         except HLSCompilationError as exc:
             self._memoize_failure(key, exc)
             raise
@@ -321,7 +325,8 @@ class EvaluationEngine:
                     self.stats.feature_hits += 1
             if cached is not None:
                 return cached
-            module = self._materialize(self._state_for(program), canonical)
+            module = self._materialize(self._state_for(program), canonical,
+                                       private=False)
             return self._memoize_features(program, canonical, module)
 
     def evaluate_with_features(self, program: Module, actions: Sequence[Action],
@@ -480,7 +485,7 @@ class EvaluationEngine:
                 unique[canonical] = (cached, feats) if want_features else cached
                 continue
             try:
-                module = self._materialize(state, canonical)
+                module = self._materialize(state, canonical, private=False)
             except HLSCompilationError as exc:
                 self._memoize_failure(key, exc)
                 if want_features:
@@ -535,18 +540,25 @@ class EvaluationEngine:
     # -- materialization ----------------------------------------------------
     def materialize(self, program: Module, actions: Sequence[Action]) -> Module:
         """A fresh module equal to ``program`` with ``actions`` applied,
-        built from the deepest cached prefix (no profiling, no sample)."""
+        built from the deepest cached prefix (no profiling, no sample).
+        The caller owns it and may mutate it freely."""
         return self._materialize(self._state_for(program),
-                                 canonicalize_sequence(actions))
+                                 canonicalize_sequence(actions), private=True)
 
     def _materialize(self, state: _ProgramState,
-                     canonical: Tuple[Element, ...]) -> Module:
+                     canonical: Tuple[Element, ...], private: bool) -> Module:
+        """``private=True``: a copy the caller owns (it leaves the
+        engine). ``private=False``: a module for the engine's own
+        read-only use (profiling, feature extraction) — it may *be* a
+        trie snapshot, or become one, and must never be mutated."""
         with tm.span("engine.materialize", depth=len(canonical)):
-            return self._materialize_inner(state, canonical)
+            return self._materialize_inner(state, canonical, private)
 
     def _materialize_inner(self, state: _ProgramState,
-                           canonical: Tuple[Element, ...]) -> Module:
+                           canonical: Tuple[Element, ...],
+                           private: bool) -> Module:
         trie = state.trie
+        last = len(canonical)
         with self._lock:
             depth, source = trie.deepest_snapshot(canonical)
             path = trie.walk(canonical)
@@ -562,24 +574,33 @@ class EvaluationEngine:
             for i, node in enumerate(path):
                 if node.visits >= self.snapshot_min_visits:
                     shared_depth = i + 1
+        if depth == last and not private:
+            return source  # profiling and extraction only read it
         module = clone_module(source)
         pm = PassManager()
-        for i in range(depth, len(canonical)):
+        for i in range(depth, last):
             element = canonical[i]
             name = pass_name_for_index(element) if isinstance(element, int) else element
             with tm.span("engine.pass_apply"):
                 pm.run(module, [name])
             d = i + 1
             on_grid = d == shared_depth or (d < shared_depth and d % self.snapshot_stride == 0)
+            # The finished module of a read-only materialization is its
+            # own leaf snapshot: when the visit rule promotes the leaf
+            # (``snapshot_min_visits=1`` promotes it at once — the RL /
+            # inference chain then costs one clone and one pass a step)
+            # the very object is installed, not a copy of it.
+            own_leaf = d == last and not private
             with self._lock:
                 self.stats.passes_applied += 1
                 node = path[i] if i < len(path) else None  # budget-truncated walk
                 want_snap = node is not None and on_grid and trie.want_snapshot(node)
             if want_snap:
-                snapshot = clone_module(module)
+                snapshot = module if own_leaf else clone_module(module)
                 with self._lock:
                     if trie.store_snapshot(node, snapshot):
                         self.stats.snapshots_stored += 1
+                        self.stats.snapshots_zero_copy += own_leaf
         return module
 
     # -- introspection ------------------------------------------------------

@@ -29,6 +29,7 @@ class EngineStats:
     passes_saved: int = 0         # prefix passes skipped thanks to the trie
     passes_applied: int = 0       # suffix passes actually run
     snapshots_stored: int = 0
+    snapshots_zero_copy: int = 0  # of those: the evaluated module itself, no clone
     failures_memoized: int = 0
     budget_failures_memoized: int = 0  # step-budget timeouts, not HLS failures
     batches: int = 0
@@ -43,6 +44,7 @@ class EngineStats:
             "passes_saved": self.passes_saved,
             "passes_applied": self.passes_applied,
             "snapshots_stored": self.snapshots_stored,
+            "snapshots_zero_copy": self.snapshots_zero_copy,
             "failures_memoized": self.failures_memoized,
             "budget_failures_memoized": self.budget_failures_memoized,
             "batches": self.batches,

@@ -6,8 +6,9 @@ of the program with exactly that prefix applied. Evaluating a sequence
 clones from the deepest snapshotted ancestor and applies only the suffix.
 
 Snapshots are immutable once stored (the engine always clones *from*
-them, never applies passes *to* them), which is what makes concurrent
-readers safe. Storage is bounded engine-wide by :class:`SnapshotLRU`:
+them, never applies passes *to* them; one may be the very module an
+evaluation profiled, which only reads it), which is what makes
+concurrent readers safe. Storage is bounded engine-wide by :class:`SnapshotLRU`:
 node structure (children/visit counters, a few machine words) is kept,
 but the least-recently-used snapshots are dropped once the node budget
 is exceeded. Nodes are only *promoted* to snapshot once their prefix has

@@ -18,7 +18,8 @@ of the per-function vectors over ``module.defined_functions()``. That
 composition rule is what makes extraction incremental —
 :class:`FeatureExtractor` caches per-function vectors under the same
 structural body hash the profiler's incremental scheduler uses
-(:func:`repro.hls.hashing.structural_key`), so a pass application only
+(:func:`repro.hls.hashing.module_structural_keys`, the one hash walk per
+module version the profiler shares), so a pass application only
 re-extracts the functions it actually changed, and clones of a function
 (which rename every value) hit the cache of their original.
 
@@ -38,8 +39,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..analysis.cfg import critical_edges, num_edges
-from ..hls.hashing import structural_key
+from ..analysis.cfg import critical_edges, predecessor_map
+from ..hls.hashing import module_structural_keys
 from ..ir.instructions import (
     BinaryOperator,
     BranchInst,
@@ -71,13 +72,14 @@ def function_features(func: Function) -> np.ndarray:
     """
     f = np.zeros(NUM_FEATURES, dtype=np.int64)
     f[53] += 1  # non-external functions
-    f[18] += num_edges(func)
-    f[17] += len(critical_edges(func))
+    pred_map = predecessor_map(func)
+    f[17] += len(critical_edges(func, pred_map))
 
     for bb in func.blocks:
         f[50] += 1
-        preds = len(bb.predecessors())
+        preds = len(pred_map[bb])
         succs = len(bb.successors())
+        f[18] += succs  # CFG edges, parallel ones included
         phis = bb.phis()
         phi_args = sum(len(p.incoming_blocks) for p in phis)
 
@@ -214,7 +216,9 @@ class FeatureExtractor:
         it is still the cached one (the legacy RL-env contract, where
         environments bumped an explicit counter per transformation), and
         a negative version keeps the legacy "bypass the module memo"
-        meaning — a fresh (function-cache-assisted) walk every call."""
+        meaning — the vector is recomposed on every call (the function
+        hashes under it are still per ``Module.version``: mutate through
+        a PassManager)."""
         if version is None:
             version = module.version
         elif version < 0:
@@ -234,9 +238,7 @@ class FeatureExtractor:
     def extract(self, module: Module) -> np.ndarray:
         """Compose the module vector from (cached) per-function vectors."""
         total = np.zeros(NUM_FEATURES, dtype=np.int64)
-        escapes_memo: Dict = {}
-        for func in module.defined_functions():
-            key = structural_key(func, escapes_memo)
+        for func, key in module_structural_keys(module).items():
             with self._lock:
                 vector = self._functions.get(key)
                 if vector is not None:

@@ -18,10 +18,20 @@ identical functions across pass applications produce the same key. Two
 functions with equal keys have isomorphic bodies under the encoding and
 therefore identical block schedules, which is what makes the profiler's
 per-function schedule cache sound.
+
+:func:`module_structural_keys` is the one front door for "the keys of
+every defined function of this module": memoized per ``(module,
+Module.version)``, so the feature extractor, the profiler's schedule
+cache, the kernel/plan caches and the batch executor's execution
+signature share a single hash walk per module version — whichever runs
+first pays, the others hit. ``PassManager`` bumps ``Module.version``
+after every pass, which is the whole invalidation contract.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from typing import Dict, Optional, Tuple
 
 from ..analysis.alias import _escapes
@@ -37,7 +47,7 @@ from ..ir.instructions import (
     StoreInst,
     SwitchInst,
 )
-from ..ir.module import BasicBlock, Function
+from ..ir.module import Function, Module
 from ..ir.values import (
     Argument,
     ConstantFloat,
@@ -47,7 +57,31 @@ from ..ir.values import (
     Value,
 )
 
-__all__ = ["structural_key"]
+__all__ = ["structural_key", "module_structural_keys"]
+
+# module -> (Module.version, {function name: key}). Values are keyed by
+# *name*, never by Function: a function references its module, and a weak
+# memo whose value reaches back to its key never lets the entry die.
+_keys_lock = threading.Lock()
+_keys_memo: "weakref.WeakKeyDictionary[Module, Tuple[int, Dict[str, Tuple]]]" = (
+    weakref.WeakKeyDictionary())
+
+
+def module_structural_keys(module: Module) -> Dict[Function, Tuple]:
+    """``{function: structural_key(function)}`` for every defined
+    function of ``module``, hashed at most once per ``Module.version``."""
+    version = module.version
+    functions = module.defined_functions()
+    with _keys_lock:
+        entry = _keys_memo.get(module)
+    if entry is None or entry[0] != version:
+        escapes_memo: Dict[Value, bool] = {}
+        entry = (version, {func.name: structural_key(func, escapes_memo)
+                           for func in functions})
+        with _keys_lock:
+            _keys_memo[module] = entry
+    by_name = entry[1]
+    return {func: by_name[func.name] for func in functions}
 
 
 def _encode_callee(callee, escapes_memo: Dict) -> Tuple:
@@ -59,6 +93,17 @@ def _encode_callee(callee, escapes_memo: Dict) -> Tuple:
             tuple(sorted(callee.attributes)))
 
 
+# Types are interned, so their spelling is memoized per object.
+_TYPE_NAMES: Dict[object, str] = {}
+
+
+def _type_name(type_) -> str:
+    name = _TYPE_NAMES.get(type_)
+    if name is None:
+        name = _TYPE_NAMES[type_] = str(type_)
+    return name
+
+
 def structural_key(func: Function,
                    escapes_memo: Optional[Dict[Value, bool]] = None) -> Tuple:
     """A hashable, name-independent key capturing the schedule inputs.
@@ -68,36 +113,37 @@ def structural_key(func: Function,
     """
     if escapes_memo is None:
         escapes_memo = {}
-    ids: Dict[Value, int] = {}
+    tname = _type_name
+    # block / instruction -> its position-only encoding
+    local: Dict[Value, Tuple] = {}
     for i, bb in enumerate(func.blocks):
-        ids[bb] = i
+        local[bb] = ("b", i)
     n = 0
     for bb in func.blocks:
         for inst in bb.instructions:
-            ids[inst] = n
+            local[inst] = ("i", n)
             n += 1
 
     def enc(v: Value) -> Tuple:
-        local = ids.get(v)
-        if local is not None:
-            kind = "b" if isinstance(v, BasicBlock) else "i"
-            return (kind, local)
+        code = local.get(v)
+        if code is not None:
+            return code
         if isinstance(v, ConstantInt):
-            return ("ci", v.value, str(v.type))
+            return ("ci", v.value, tname(v.type))
         if isinstance(v, ConstantFloat):
             return ("cf", repr(v.value))
         if isinstance(v, UndefValue):
-            return ("u", str(v.type))
+            return ("u", tname(v.type))
         if isinstance(v, GlobalVariable):
             escapes = escapes_memo.get(v)
             if escapes is None:
                 escapes = escapes_memo.setdefault(v, _escapes(v))
-            return ("g", v.name, v.is_constant, str(v.value_type), escapes)
+            return ("g", v.name, v.is_constant, tname(v.value_type), escapes)
         if isinstance(v, Argument):
             return ("a", v.index)
         if isinstance(v, Function):
             return _encode_callee(v, escapes_memo)
-        return ("?", str(v.type))  # conservative: distinct per stringification
+        return ("?", tname(v.type))  # conservative: distinct per stringification
 
     blocks = []
     for bb in func.blocks:
@@ -109,19 +155,19 @@ def structural_key(func: Function,
             elif isinstance(inst, (LoadInst, StoreInst)):
                 extra = (inst.is_volatile,)
             elif isinstance(inst, AllocaInst):
-                extra = (str(inst.allocated_type), inst.allocated_type.size_slots)
+                extra = (tname(inst.allocated_type), inst.allocated_type.size_slots)
             elif isinstance(inst, InvokeInst):
                 extra = (_encode_callee(inst.callee, escapes_memo),
                          enc(inst.normal_dest), enc(inst.unwind_dest))
             elif isinstance(inst, CallInst):
                 extra = (_encode_callee(inst.callee, escapes_memo),)
             elif isinstance(inst, PhiNode):
-                extra = tuple(enc(b) for b in inst.incoming_blocks)
+                extra = tuple([enc(b) for b in inst.incoming_blocks])
             elif isinstance(inst, SwitchInst):
-                extra = tuple((c.value, enc(b)) for c, b in inst.cases) + (enc(inst.default),)
+                extra = tuple([(c.value, enc(b)) for c, b in inst.cases]) + (enc(inst.default),)
             elif isinstance(inst, BranchInst):
-                extra = tuple(enc(t) for t in inst.successors())
-            insts.append((inst.opcode, str(inst.type), extra,
-                          tuple(enc(op) for op in inst.operands)))
+                extra = tuple([enc(t) for t in inst.successors()])
+            insts.append((inst.opcode, tname(inst.type), extra,
+                          tuple([enc(op) for op in inst._operands])))
         blocks.append(tuple(insts))
-    return (str(func.ftype), tuple(str(a.type) for a in func.args), tuple(blocks))
+    return (tname(func.ftype), tuple([tname(a.type) for a in func.args]), tuple(blocks))

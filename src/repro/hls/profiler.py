@@ -46,7 +46,7 @@ from ..interp.state import InterpreterLimitExceeded, StepBudgetExceeded, TrapErr
 from ..ir.instructions import CallInst
 from ..ir.module import BasicBlock, Module
 from .delays import HLSConstraints, TimingLibrary
-from .hashing import structural_key
+from .hashing import module_structural_keys
 from .sched_vec import function_state_counts_flat
 from .scheduler import Scheduler
 
@@ -295,9 +295,7 @@ class CycleProfiler:
     def _structural_keys(self, module: Module) -> Dict:
         if self._schedule_cache_size <= 0 and self.sim_kernels == "off":
             return {}
-        escapes_memo: Dict = {}
-        return {func: structural_key(func, escapes_memo)
-                for func in module.defined_functions()}
+        return module_structural_keys(module)
 
     def _schedule_function(self, func) -> List[int]:
         mode = self.sim_kernels

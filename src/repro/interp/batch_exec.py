@@ -168,10 +168,10 @@ def exec_signature(module: Module, entry: str,
 
 def _compute_signature(module: Module, entry: str,
                        keys: Optional[Dict]) -> Tuple:
-    from ..hls.hashing import structural_key
+    from ..hls.hashing import module_structural_keys
 
-    keys = keys or {}
-    escapes_memo: Dict = {}
+    if not keys:
+        keys = module_structural_keys(module)
     globals_part = tuple(
         (gv.name, gv.linkage, tuple(gv.flat_initializer()))
         for gv in module.globals.values())
@@ -180,10 +180,7 @@ def _compute_signature(module: Module, entry: str,
         if func.is_declaration:
             funcs_part.append((0, func.name))
         else:
-            key = keys.get(func)
-            if key is None:
-                key = structural_key(func, escapes_memo)
-            funcs_part.append((1, func.name, key))
+            funcs_part.append((1, func.name, keys[func]))
     return (entry, globals_part, tuple(funcs_part))
 
 

@@ -945,14 +945,15 @@ class KernelInterpreter:
 
     ``keys`` maps defined functions to their structural body hash; the
     caller (the profiler) usually computed them already for the schedule
-    cache, so kernels, schedules and block plans share one key pass.
-    Missing keys are computed on demand.
+    cache; without them they come off the same per-module-version memo
+    (:func:`repro.hls.hashing.module_structural_keys`), so kernels,
+    schedules and block plans share one key pass either way.
     """
 
     def __init__(self, module: Module, max_steps: int = 1_000_000,
                  max_call_depth: int = 64,
                  keys: Optional[Dict[Function, Tuple]] = None) -> None:
-        from ..hls.hashing import structural_key
+        from ..hls.hashing import module_structural_keys
 
         self.module = module
         self.memory = Memory()
@@ -969,15 +970,12 @@ class KernelInterpreter:
             if gv.linkage != "internal":
                 self._observable_segments.append((gv.name, ptr.segment))
 
-        keys = keys or {}
-        escapes_memo: Dict = {}
+        if not keys:
+            keys = module_structural_keys(module)
         self._bound: Dict[str, _BoundFunction] = {}
         segs = self.memory._segments  # shared alias for the load/store closures
         for func in module.defined_functions():
-            key = keys.get(func)
-            if key is None:
-                key = structural_key(func, escapes_memo)
-            cf = compiled_for(func, key)
+            cf = compiled_for(func, keys[func])
             bf = _BoundFunction()
             bf.cf = cf
             bf.name = func.name

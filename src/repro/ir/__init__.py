@@ -39,6 +39,7 @@ from .instructions import (
     AllocaInst,
     BinaryOperator,
     BranchInst,
+    CallBase,
     CallInst,
     CastInst,
     FCmpInst,
@@ -71,7 +72,7 @@ __all__ = [
     "Value", "Constant", "ConstantInt", "ConstantFloat", "UndefValue", "Argument", "GlobalVariable",
     # instructions
     "Instruction", "BinaryOperator", "FNegInst", "ICmpInst", "FCmpInst", "SelectInst",
-    "AllocaInst", "LoadInst", "StoreInst", "GEPInst", "CallInst", "CastInst", "PhiNode",
+    "AllocaInst", "LoadInst", "StoreInst", "GEPInst", "CallBase", "CallInst", "CastInst", "PhiNode",
     "ReturnInst", "BranchInst", "SwitchInst", "InvokeInst", "UnreachableInst",
     # containers
     "BasicBlock", "Function", "Module",

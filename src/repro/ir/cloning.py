@@ -1,10 +1,13 @@
-"""Region cloning — the shared machinery behind inlining, loop unrolling,
-loop rotation, loop unswitching, partial inlining, and jump threading.
+"""Cloning. Regions — the shared machinery behind inlining, loop
+unrolling, loop rotation, loop unswitching, partial inlining, and jump
+threading — and whole modules, the first step of every cold evaluation.
 
 ``clone_blocks`` duplicates a set of blocks, remapping operands through a
 value map. References to values *outside* the cloned region (and to blocks
 outside it) are left pointing at the originals, which is exactly the
-behaviour region-duplication passes need.
+behaviour region-duplication passes need. ``clone_module`` copies
+everything, so it skips the constructors and their validation: shells
+first, then one fill of operands and references (see its docstring).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .instructions import (
     UnreachableInst,
 )
 from .module import BasicBlock, Function, Module
-from .values import GlobalVariable, Value
+from .values import Constant, GlobalVariable, Value
 
 __all__ = ["clone_instruction", "clone_blocks", "clone_module"]
 
@@ -167,12 +170,67 @@ def clone_blocks(
     return new_blocks, vmap
 
 
+# -- per-class slot plans for clone_module -------------------------------------
+
+def _copy_ref(target, vmap: Dict):
+    return vmap.get(target, target)  # external callees are plain strings
+
+
+def _copy_ref_list(targets, vmap: Dict) -> List:
+    return [vmap.get(t, t) for t in targets]
+
+
+def _copy_cases(cases, vmap: Dict) -> List:
+    return [(const, vmap.get(bb, bb)) for const, bb in cases]
+
+
+_BASE_SLOTS = frozenset(Value.__slots__ + Instruction.__slots__)
+# Every subclass slot is either plain data (copied in the first walk) or
+# a block/function reference retargeted through the value map (second
+# walk). A new instruction slot must be entered here; clone_module
+# refuses a class with a slot it does not know.
+_PLAIN_SLOTS = frozenset({"predicate", "allocated_type", "is_volatile", "tail"})
+_REFERENCE_SLOTS = {
+    "callee": _copy_ref, "default": _copy_ref,
+    "normal_dest": _copy_ref, "unwind_dest": _copy_ref,
+    "incoming_blocks": _copy_ref_list, "_targets": _copy_ref_list,
+    "cases": _copy_cases,
+}
+# Classes whose constructor takes no name keep theirs; every other clone
+# is renamed ``<name>.c``.
+_UNNAMED = frozenset({StoreInst, ReturnInst, BranchInst, SwitchInst, UnreachableInst})
+_CLONE_PLANS: Dict[type, Tuple[bool, Tuple[str, ...], Tuple]] = {}
+
+
+def _clone_plan(cls: type) -> Tuple[bool, Tuple[str, ...], Tuple]:
+    """``(renamed, plain slots, ((reference slot, retarget), ...))``."""
+    plain: List[str] = []
+    references: List[Tuple] = []
+    for klass in cls.__mro__:
+        for slot in vars(klass).get("__slots__", ()):
+            if slot in _PLAIN_SLOTS:
+                plain.append(slot)
+            elif slot in _REFERENCE_SLOTS:
+                references.append((slot, _REFERENCE_SLOTS[slot]))
+            elif slot not in _BASE_SLOTS:
+                raise TypeError(f"clone_module does not know how to copy "
+                                f"{cls.__name__}.{slot}")
+    plan = _CLONE_PLANS[cls] = (cls not in _UNNAMED, tuple(plain), tuple(references))
+    return plan
+
+
 def clone_module(module: Module) -> Module:
     """Deep-copy a module (globals, functions, bodies).
 
     The clone shares no mutable state with the original: globals get fresh
     initializer lists, functions fresh attribute sets and metadata dicts,
-    and direct calls are retargeted to the cloned functions.
+    and direct calls are retargeted to the cloned functions. Only the
+    immutable leaves — constants and types — are shared.
+
+    Two walks per function and no constructor: the first allocates every
+    block and instruction shell (so forward references resolve), the
+    second fills operands, use lists and block/function references
+    through the value map.
     """
     new = Module(module.source_name)
     new.metadata = dict(module.metadata)
@@ -193,15 +251,35 @@ def clone_module(module: Module) -> Module:
         vmap[func] = f2
         for a_old, a_new in zip(func.args, f2.args):
             vmap[a_old] = a_new
+    allocate = object.__new__
     for func in module.functions.values():
         f2 = vmap[func]
-        if func.is_declaration:
-            continue
-        blocks, _ = clone_blocks(func.blocks, f2, dict(vmap), suffix="")
-        # Retarget direct calls to the cloned functions.
-        for bb in blocks:
+        for bb in func.blocks:
+            nb = BasicBlock(bb.name, f2)  # block names feed CycleReport labels
+            f2.blocks.append(nb)
+            vmap[bb] = nb
+            shells = nb.instructions
             for inst in bb.instructions:
-                callee = getattr(inst, "callee", None)
-                if callee is not None and not isinstance(callee, str) and callee in vmap:
-                    inst.callee = vmap[callee]
+                cls = inst.__class__
+                named, copied, _ = _CLONE_PLANS.get(cls) or _clone_plan(cls)
+                ci = allocate(cls)
+                ci.type = inst.type
+                ci.name = inst.name + ".c" if named else inst.name
+                ci._uses = {}
+                ci.opcode = inst.opcode
+                ci.parent = nb
+                ci.metadata = dict(inst.metadata)
+                for slot in copied:
+                    setattr(ci, slot, getattr(inst, slot))
+                shells.append(ci)
+                vmap[inst] = ci
+        for bb in func.blocks:
+            for inst, ci in zip(bb.instructions, vmap[bb].instructions):
+                operands = ci._operands = [vmap.get(op, op) for op in inst._operands]
+                for op in operands:
+                    if not isinstance(op, Constant):  # constants keep no use list
+                        uses = op._uses
+                        uses[ci] = uses.get(ci, 0) + 1
+                for slot, retarget in _CLONE_PLANS[inst.__class__][2]:
+                    setattr(ci, slot, retarget(getattr(inst, slot), vmap))
     return new

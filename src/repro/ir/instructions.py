@@ -38,6 +38,7 @@ __all__ = [
     "LoadInst",
     "StoreInst",
     "GEPInst",
+    "CallBase",
     "CallInst",
     "CastInst",
     "PhiNode",
@@ -147,9 +148,9 @@ class Instruction(Value):
         self.parent = block
 
     # -- classification -----------------------------------------------------
-    @property
-    def is_terminator(self) -> bool:
-        return isinstance(self, (ReturnInst, BranchInst, SwitchInst, InvokeInst, UnreachableInst))
+    # Overridden to True by the five terminator classes; a plain class
+    # attribute because every CFG query (``bb.terminator``) reads it.
+    is_terminator = False
 
     @property
     def is_binary_op(self) -> bool:
@@ -174,14 +175,14 @@ class Instruction(Value):
     def may_read_memory(self) -> bool:
         if isinstance(self, LoadInst):
             return True
-        if isinstance(self, (CallInst, InvokeInst)):
+        if isinstance(self, CallBase):
             return not self.is_readnone()
         return False
 
     def may_write_memory(self) -> bool:
         if isinstance(self, StoreInst):
             return True
-        if isinstance(self, (CallInst, InvokeInst)):
+        if isinstance(self, CallBase):
             return not self.is_readonly()
         return False
 
@@ -388,20 +389,17 @@ class GEPInst(Instruction):
         return strides
 
 
-class CallInst(Instruction):
-    """A direct call. ``callee`` is a Function or an external symbol name.
+class CallBase(Instruction):
+    """What a direct call and an invoke share: the callee, its arguments
+    and the memory-effect queries CSE/GVN/LICM and the scheduler ask of
+    either. ``callee`` is a Function or an external symbol name.
 
     External callees (``str``) model intrinsics and libm routines; their
     behaviour lives in :mod:`repro.interp.externals` and their timing in
     :mod:`repro.hls.delays`.
     """
 
-    __slots__ = ("callee", "tail")
-
-    def __init__(self, callee, args: Sequence[Value], return_type: ty.Type, name: str = "") -> None:
-        super().__init__("call", return_type, tuple(args), name)
-        self.callee = callee
-        self.tail = False
+    __slots__ = ("callee",)
 
     @property
     def args(self) -> Tuple[Value, ...]:
@@ -434,6 +432,17 @@ class CallInst(Instruction):
     def is_pure(self) -> bool:
         """No memory writes and no observable side effects."""
         return self.is_readonly()
+
+
+class CallInst(CallBase):
+    """A direct call."""
+
+    __slots__ = ("tail",)
+
+    def __init__(self, callee, args: Sequence[Value], return_type: ty.Type, name: str = "") -> None:
+        super().__init__("call", return_type, tuple(args), name)
+        self.callee = callee
+        self.tail = False
 
 
 class CastInst(Instruction):
@@ -496,6 +505,7 @@ class PhiNode(Instruction):
 
 class ReturnInst(Instruction):
     __slots__ = ()
+    is_terminator = True
 
     def __init__(self, value: Optional[Value] = None) -> None:
         ops = (value,) if value is not None else ()
@@ -510,6 +520,7 @@ class BranchInst(Instruction):
     """Conditional or unconditional branch."""
 
     __slots__ = ("_targets",)
+    is_terminator = True
 
     def __init__(self, *args) -> None:
         if len(args) == 1:
@@ -557,6 +568,7 @@ class BranchInst(Instruction):
 
 class SwitchInst(Instruction):
     __slots__ = ("default", "cases")
+    is_terminator = True
 
     def __init__(self, value: Value, default: "BasicBlock", cases: Optional[List[Tuple[ConstantInt, "BasicBlock"]]] = None) -> None:
         super().__init__("switch", ty.void, (value,))
@@ -579,14 +591,15 @@ class SwitchInst(Instruction):
         self.cases = [(c, new if bb is old else bb) for c, bb in self.cases]
 
 
-class InvokeInst(Instruction):
+class InvokeInst(CallBase):
     """A call that may unwind: terminator with normal and unwind targets.
 
     The random generator emits these rarely; ``-lowerinvoke`` rewrites them
     into plain calls + branches, exactly as LLVM's lowering does.
     """
 
-    __slots__ = ("callee", "normal_dest", "unwind_dest")
+    __slots__ = ("normal_dest", "unwind_dest")
+    is_terminator = True
 
     def __init__(self, callee, args: Sequence[Value], return_type: ty.Type,
                  normal_dest: "BasicBlock", unwind_dest: "BasicBlock", name: str = "") -> None:
@@ -594,14 +607,6 @@ class InvokeInst(Instruction):
         self.callee = callee
         self.normal_dest = normal_dest
         self.unwind_dest = unwind_dest
-
-    @property
-    def args(self) -> Tuple[Value, ...]:
-        return self.operands
-
-    @property
-    def callee_name(self) -> str:
-        return self.callee if isinstance(self.callee, str) else self.callee.name
 
     def successors(self) -> List["BasicBlock"]:
         return [self.normal_dest, self.unwind_dest]
@@ -615,6 +620,7 @@ class InvokeInst(Instruction):
 
 class UnreachableInst(Instruction):
     __slots__ = ()
+    is_terminator = True
 
     def __init__(self) -> None:
         super().__init__("unreachable", ty.void, ())

@@ -62,8 +62,8 @@ class BasicBlock(Value):
 
     # -- CFG ------------------------------------------------------------------
     def successors(self) -> List["BasicBlock"]:
-        term = self.terminator
-        return term.successors() if term is not None else []
+        # only terminators have successors, so the last instruction answers
+        return self.instructions[-1].successors() if self.instructions else []
 
     def predecessors(self) -> List["BasicBlock"]:
         """Predecessors in function order (computed fresh; blocks mutate)."""

@@ -91,9 +91,22 @@ class Value:
 
 
 class Constant(Value):
-    """Base class for immediate values. Constants are immutable leaves."""
+    """Base class for immediate values. Constants are immutable leaves.
+
+    They are shared freely across functions and modules (a clone reuses
+    its source's constant objects), so they carry **no use list**: a use
+    entry would pin every instruction of every module that ever mentioned
+    the constant, and no transformation asks for the users of an
+    immediate.
+    """
 
     __slots__ = ()
+
+    def _add_use(self, user: "Instruction") -> None:
+        pass
+
+    def _remove_use(self, user: "Instruction") -> None:
+        pass
 
 
 class ConstantInt(Constant):

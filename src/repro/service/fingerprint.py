@@ -21,11 +21,9 @@ with different clock targets or pass registries never share entries.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict
 
-from ..hls.hashing import structural_key
+from ..hls.hashing import module_structural_keys
 from ..ir.module import Module
-from ..ir.values import Value
 
 __all__ = ["program_fingerprint", "toolchain_fingerprint"]
 
@@ -45,7 +43,7 @@ def program_fingerprint(module: Module) -> str:
     but sensitive to function/global names, types, initializers and every
     instruction — anything the simulator or scheduler can observe.
     """
-    escapes_memo: Dict[Value, object] = {}
+    keys = module_structural_keys(module)
     globals_part = tuple(
         (gv.name, str(gv.value_type), gv.is_constant, gv.linkage,
          tuple(gv.initializer) if isinstance(gv.initializer, list) else gv.initializer)
@@ -56,8 +54,7 @@ def program_fingerprint(module: Module) -> str:
             funcs_part.append(("decl", func.name, str(func.ftype),
                                tuple(sorted(func.attributes))))
         else:
-            funcs_part.append(("def", func.name,
-                               structural_key(func, escapes_memo)))
+            funcs_part.append(("def", func.name, keys[func]))
     return _digest(repr((_FINGERPRINT_VERSION, globals_part, tuple(funcs_part))))
 
 

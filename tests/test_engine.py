@@ -8,6 +8,7 @@ import pytest
 from repro.engine import EvaluationEngine, canonicalize_sequence
 from repro.hls.hashing import structural_key
 from repro.hls.profiler import CycleProfiler, HLSCompilationError
+from repro.passes import PassManager
 from repro.passes.registry import NUM_TRANSFORMS, TERMINATE_INDEX, pass_index_for_name
 from repro.rl.env import MultiActionEnv
 from repro.search import SequenceEvaluator
@@ -198,6 +199,125 @@ class TestCloneAliasing:
         base = benchmarks["matmul"]
         twice = clone_module(clone_module(base))
         assert un.cycle_count(twice) == un.cycle_count(clone_module(base))
+
+
+def _vandalize(module):
+    """Mutate a module the engine handed out in every way a caller may."""
+    PassManager().run(module, ["-mem2reg", "-simplifycfg", "-loop-unroll",
+                               "-instcombine", "-globalopt"])
+    for gv in module.globals.values():
+        if isinstance(gv.initializer, list):
+            gv.initializer[:] = [1] * len(gv.initializer)
+        else:
+            gv.initializer = 1
+    for func in module.defined_functions():
+        func.attributes.add("vandalized")
+        func.blocks[-1].drop_all_instructions()
+
+
+class TestSnapshotOwnership:
+    """Snapshots are read-only and may be the very module that was
+    profiled; modules that leave the engine are private copies."""
+
+    # min_visits=1 promotes every evaluated leaf at once, so the modules
+    # the engine profiled are the snapshots later steps clone from
+    EAGER = {"snapshot_min_visits": 1}
+
+    @pytest.fixture(params=["engine", "service"])
+    def backend(self, request, tmp_path):
+        if request.param == "engine":
+            return HLSToolchain(engine_config=self.EAGER)
+        return HLSToolchain(backend="service",
+                            service_config={"workers": 0,
+                                            "store_dir": str(tmp_path),
+                                            "engine_config": self.EAGER})
+
+    @pytest.mark.parametrize("name", ["gsm", "qsort"])
+    def test_returned_modules_never_alias_snapshots(self, benchmarks, backend, name):
+        program = benchmarks[name]
+        engine = backend.engine
+        reference = HLSToolchain(use_engine=False)
+        a, b, c, d, x, y = (pass_index_for_name(p) for p in (
+            "-mem2reg", "-loop-rotate", "-instcombine", "-gvn",
+            "-simplifycfg", "-licm"))
+
+        def check(sequence):
+            assert engine.evaluate(program, sequence) == \
+                reference.cycle_count_with_passes(program, sequence)
+            assert np.array_equal(engine.features_after(program, sequence),
+                                  reference.features_after(program, sequence))
+
+        # the chain pattern: every step's module becomes a snapshot as is
+        engine.evaluate(program, [a])
+        engine.evaluate(program, [a, b])
+        assert engine.cache_info()["snapshots_zero_copy"] == 2
+
+        _vandalize(engine.materialize(program, [a, b]))  # copy of a snapshot
+        check([a, b])
+        check([a, b, c])
+
+        value, module = engine.evaluate_with_module(program, [a, b, c])  # memo hit
+        assert value == reference.cycle_count_with_passes(program, [a, b, c])
+        _vandalize(module)
+        check([a, b, c])
+        check([a, b, c, d])
+
+        value, module = engine.evaluate_with_module(program, [a, x])  # cold
+        _vandalize(module)
+        check([a, x])
+        check([a, x, y])
+
+        _vandalize(engine.materialize(program, []))
+        check([])
+        assert clone_module(program).instruction_count() == program.instruction_count()
+
+    def test_unrelated_sequences_are_not_admitted(self, benchmarks):
+        toolchain = HLSToolchain()
+        firsts = [pass_index_for_name(p) for p in (
+            "-mem2reg", "-simplifycfg", "-instcombine", "-gvn", "-licm", "-sroa")]
+        tail = [pass_index_for_name("-early-cse"), pass_index_for_name("-adce")]
+        values = toolchain.engine.evaluate_batch(
+            benchmarks["matmul"], [[first] + tail for first in firsts])
+        assert all(v is not None for v in values)
+        info = toolchain.cache_info()
+        assert info["snapshots_zero_copy"] == 0 and info["snapshots_stored"] == 0
+
+    def test_extend_by_one_costs_one_clone_and_one_pass(self, benchmarks, monkeypatch):
+        from repro.engine import core
+
+        clones = []
+        monkeypatch.setattr(core, "clone_module",
+                            lambda m: clones.append(m) or clone_module(m))
+        toolchain = HLSToolchain(engine_config=self.EAGER)
+        chain = []
+        for step in range(6):
+            chain.append(step)
+            toolchain.engine.evaluate_with_features(benchmarks["sha"], chain)
+        info = toolchain.cache_info()
+        assert len(clones) == 6 and info["passes_applied"] == 6
+        assert info["snapshots_zero_copy"] == 6
+
+    def test_default_visit_rule_promotes_a_leaf_on_its_second_walk(self, benchmarks):
+        toolchain = HLSToolchain()
+        engine, program = toolchain.engine, benchmarks["sha"]
+        reference = HLSToolchain(use_engine=False)
+        chain = []
+        for step in range(4):  # first walks: no leaf earns a snapshot
+            chain.append(step)
+            engine.evaluate(program, chain)
+        assert engine.cache_info()["snapshots_zero_copy"] == 0
+        # second walk of the same leaf (another objective misses the memo):
+        # the module built for it is installed as is ...
+        engine.evaluate(program, chain, objective="area")
+        assert engine.cache_info()["snapshots_zero_copy"] == 1
+        # ... and a third is handed that snapshot without a clone
+        stored = engine.cache_info()["snapshots_stored"]
+        assert engine.evaluate(program, chain, objective="cycles-area") is not None
+        assert engine.cache_info()["snapshots_stored"] == stored
+        _vandalize(engine.materialize(program, chain))
+        extended = chain + [pass_index_for_name("-gvn")]
+        assert engine.evaluate(program, extended) == \
+            reference.cycle_count_with_passes(program, extended)
 
 
 class TestIncrementalScheduling:

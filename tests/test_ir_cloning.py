@@ -1,10 +1,24 @@
-"""Region cloning — the machinery under inlining/unrolling/unswitching."""
+"""Region cloning — the machinery under inlining/unrolling/unswitching —
+and whole-module cloning, the first step of every cold evaluation."""
 
+import random
+from collections import Counter, defaultdict
+
+import numpy as np
 import pytest
 
-from repro.ir import Function, IRBuilder, Module, clone_blocks, clone_instruction
+from repro.features.extractor import extract_features
+from repro.hls.hashing import structural_key
+from repro.hls.profiler import CycleProfiler, HLSCompilationError
+from repro.interp.batch_exec import exec_signature
+from repro.ir import (Constant, Function, Instruction, IRBuilder, Module,
+                      clone_blocks, clone_instruction, clone_module,
+                      cloning, instructions, verify_module)
 from repro.ir import types as ty
 from repro.ir.values import Value
+from repro.passes import PassManager
+from repro.passes.registry import NUM_TRANSFORMS, pass_name_for_index
+from repro.programs.generator import RandomProgramGenerator
 
 
 def _diamond_func():
@@ -84,3 +98,144 @@ class TestCloneBlocks:
         new_blocks, vmap = clone_blocks([t], f, vmap={x: replacement})
         mul_clone = vmap[t].instructions[0]
         assert mul_clone.lhs is replacement
+
+
+# -- clone_module fidelity --------------------------------------------------------
+
+
+def _slots(cls):
+    return [slot for klass in cls.__mro__
+            for slot in vars(klass).get("__slots__", ()) if slot != "__weakref__"]
+
+
+def _reachable_values(root):
+    """Every non-constant Value reachable from ``root`` through any slot."""
+    seen, stack = {}, [root]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif isinstance(obj, Value) and not isinstance(obj, Constant) \
+                and id(obj) not in seen:
+            seen[id(obj)] = obj
+            stack.extend(getattr(obj, slot) for slot in _slots(type(obj))
+                         if hasattr(obj, slot))
+    return seen
+
+
+def _reference_report(module):
+    profiler = CycleProfiler(sim_kernels="off", sim_batch="off",
+                             schedule_cache_size=0)
+    try:
+        report = profiler.profile(module)
+    except HLSCompilationError as exc:
+        return type(exc).__name__, str(exc)
+    return (report.cycles, report.states_by_block, report.visits_by_block,
+            report.execution.steps, report.execution.observable())
+
+
+def _check_clone(source):
+    clone = clone_module(source)
+    verify_module(clone)
+    assert clone.version == 0 and clone.metadata == source.metadata
+    assert list(clone.functions) == list(source.functions)
+    assert list(clone.globals) == list(source.globals)
+
+    # same structure, position by position, and every slot filled in
+    for sf, cf in zip(source.functions.values(), clone.functions.values()):
+        assert (cf.attributes, cf.metadata, cf.linkage) == \
+            (sf.attributes, sf.metadata, sf.linkage)
+        assert cf.attributes is not sf.attributes and cf.metadata is not sf.metadata
+        assert [bb.name for bb in cf.blocks] == [bb.name for bb in sf.blocks]
+        if not sf.is_declaration:
+            assert structural_key(cf) == structural_key(sf)
+        for sb, cb in zip(sf.blocks, cf.blocks):
+            assert len(cb.instructions) == len(sb.instructions)
+            for si, ci in zip(sb.instructions, cb.instructions):
+                assert type(ci) is type(si) and ci.parent is cb
+                assert all(hasattr(ci, slot) for slot in _slots(type(si)))
+                assert (ci.type, ci.opcode, ci.metadata) == \
+                    (si.type, si.opcode, si.metadata)
+                assert ci.metadata is not si.metadata
+                assert ci.name in (si.name, si.name + ".c")
+    assert exec_signature(clone, "main") == exec_signature(source, "main")
+    assert np.array_equal(extract_features(clone), extract_features(source))
+    assert _reference_report(clone) == _reference_report(source)
+
+    # use lists are exactly what the operand lists say
+    expected = defaultdict(Counter)
+    for inst in clone.instructions():
+        for op in inst._operands:
+            if not isinstance(op, Constant):
+                expected[id(op)][inst] += 1
+    mine = _reachable_values(clone)
+    for value in mine.values():
+        assert value._uses == dict(expected.get(id(value), {})), value
+
+    # nothing of the source is reachable from the clone (constants and
+    # types are the shared immutable leaves)
+    assert not set(mine) & set(_reachable_values(source))
+
+
+class TestCloneModule:
+    def test_every_instruction_slot_is_planned(self):
+        known = cloning._BASE_SLOTS | cloning._PLAIN_SLOTS | set(cloning._REFERENCE_SLOTS)
+        pending, classes = [Instruction], []
+        while pending:
+            cls = pending.pop()
+            if cls.__module__ == instructions.__name__:
+                classes.append(cls)
+            pending.extend(cls.__subclasses__())
+        assert len(classes) >= 18
+        for cls in classes:
+            renamed, plain, references = cloning._clone_plan(cls)
+            planned = set(plain) | {slot for slot, _ in references}
+            assert planned == set(_slots(cls)) - cloning._BASE_SLOTS, cls
+            assert set(_slots(cls)) <= known, cls
+
+    def test_unknown_slot_is_refused(self):
+        class Rogue(Instruction):
+            __slots__ = ("payload",)
+
+        with pytest.raises(TypeError, match="Rogue.payload"):
+            cloning._clone_plan(Rogue)
+
+    def test_names_follow_the_constructor_rule(self, benchmarks):
+        source = benchmarks["gsm"]
+        clone = clone_module(source)
+        for si, ci in zip(source.instructions(), clone.instructions()):
+            unnamed = type(si) in cloning._UNNAMED
+            assert ci.name == (si.name if unnamed else si.name + ".c")
+        assert {type(i) for i in source.instructions()} & cloning._UNNAMED
+
+    def test_dangling_operand_stays_on_the_original(self):
+        m, f, (entry, *_) = _diamond_func()
+        x = entry.instructions[0]
+        ghost = clone_instruction(x, {})  # never placed in a block
+        x.set_operand(1, ghost)
+        twin = clone_module(m).functions["f"].blocks[0].instructions[0]
+        assert twin.rhs is ghost and ghost._uses[twin] == 1
+
+    @pytest.mark.parametrize("name", ["adpcm", "aes", "blowfish", "dhrystone",
+                                      "gsm", "matmul", "mpeg2", "qsort", "sha"])
+    def test_chstone_after_random_prefixes(self, benchmarks, name):
+        rng = random.Random(name)
+        _check_clone(benchmarks[name])
+        for length in (2, 5):
+            module = clone_module(benchmarks[name])
+            PassManager().run(module, [pass_name_for_index(rng.randrange(NUM_TRANSFORMS))
+                                       for _ in range(length)])
+            _check_clone(module)
+
+    @pytest.mark.parametrize("seed", [0, 1, 4, 9])
+    def test_generated_after_random_prefixes(self, seed):
+        # default generator config: invokes, switches, volatile accesses
+        rng = random.Random(seed)
+        module = RandomProgramGenerator(seed).generate()
+        _check_clone(module)
+        PassManager().run(module, [pass_name_for_index(rng.randrange(NUM_TRANSFORMS))
+                                   for _ in range(4)])
+        _check_clone(module)

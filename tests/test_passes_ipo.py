@@ -378,3 +378,28 @@ class TestPruneEHAndInvoke:
         assert not any(bb.name == "uw" for bb in main.blocks)
         assert "nounwind" in main.attributes
         assert run_module(m).return_value == 5
+
+    @pytest.mark.parametrize("name", ["-early-cse", "-gvn", "-licm", "-dse",
+                                      "-sink", "-memcpyopt"])
+    def test_memory_passes_accept_an_invoke(self, name):
+        # regression: the memory-effect queries (is_readonly & co.) lived on
+        # CallInst only, so any pass asking them of an invoke crashed
+        m, main = self._with_invoke()
+        inv = main.blocks[0].terminator
+        assert inv.may_read_memory() and inv.may_write_memory()
+        m.get_function("callee").attributes.add("readnone")
+        assert inv.is_pure() and not inv.may_read_memory()
+        assert inv.may_have_side_effects()  # still a terminator
+        create_pass(name).run(m)
+        verify_module(m)
+        assert run_module(m).return_value == 5
+
+    def test_o3_on_an_invoke_bearing_generated_program(self):
+        from repro.ir import InvokeInst
+        from repro.service.server import resolve_program_spec
+        from repro.toolchain import HLSToolchain
+
+        program = resolve_program_spec("gen:0")
+        assert any(isinstance(i, InvokeInst) for i in program.instructions())
+        toolchain = HLSToolchain()
+        assert 0 < toolchain.o3_cycles(program) <= toolchain.o0_cycles(program)

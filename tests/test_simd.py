@@ -458,9 +458,9 @@ class TestCLI:
         from repro.cli import main
 
         out_path = str(tmp_path / "h.json")
-        assert main(["profile-hotspots", "gsm", "--sim-simd", "verify",
-                     "--batch-lanes", "2", "--top", "1",
-                     "--json", out_path]) == 0
+        assert main(["profile-hotspots", "gsm", "--phase", "profile",
+                     "--sim-simd", "verify", "--batch-lanes", "2",
+                     "--top", "1", "--json", out_path]) == 0
         assert "sim_simd=verify" in capsys.readouterr().out
         with open(out_path) as fh:
             assert json.load(fh)["sim_simd"] == "verify"

@@ -540,6 +540,33 @@ class TestCLISurfaces:
         cums = [row["cumtime"] for row in rows]
         assert cums == sorted(cums, reverse=True)
 
+    def test_profile_hotspots_phases(self, tmp_path, capsys):
+        from repro.cli import main
+
+        def functions(phase):
+            out_path = str(tmp_path / f"{phase}.json")
+            assert main(["profile-hotspots", "gsm", "--phase", phase,
+                         "--passes=-mem2reg -gvn", "--top", "400",
+                         "--json", out_path]) == 0
+            assert f"phase={phase}" in capsys.readouterr().out
+            with open(out_path) as fh:
+                payload = json.load(fh)
+            assert payload["phase"] == phase
+            return payload["cycles"], {row["function"] for row in payload["hotspots"]}
+
+        # default 'all' = one engine.evaluate on a cleared engine: clone,
+        # passes and the profile are all under the profiler
+        cycles, seen = functions("all")
+        assert cycles > 0 and {"clone_module", "run_on_function", "profile"} <= seen
+        cycles, seen = functions("materialize")
+        assert cycles is None
+        assert {"clone_module", "run_on_function"} <= seen and "profile" not in seen
+        cycles, seen = functions("profile")
+        assert cycles > 0 and "clone_module" not in seen
+        # a wave width only means something to the profile phase
+        assert main(["profile-hotspots", "gsm", "--batch-lanes", "4"]) == 2
+        assert "--phase profile" in capsys.readouterr().err
+
     def test_cache_stats_renders_hierarchy_table(self, tmp_path, capsys,
                                                  monkeypatch):
         from repro.cli import main
