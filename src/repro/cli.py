@@ -19,8 +19,6 @@
     python -m repro profile-hotspots <benchmark> [--passes "..."]
                           [--phase materialize|profile|all]
                           [--sim-kernels off|on|verify]
-                          [--sim-batch off|on|verify]
-                          [--sim-simd off|on|verify] [--batch-lanes N]
                           [--top N] [--sort KEY] [--json PATH]
     python -m repro cache stats|clear|export [--store DIR]
     python -m repro stats [--json] [--watch N] [--log PATH] [--socket PATH]
@@ -312,39 +310,16 @@ def _cmd_profile_hotspots(args) -> int:
     seq = args.passes.split() if args.passes else HLSToolchain().o3_sequence()
     # One *cold* evaluation: a fresh toolchain (empty memo, trie and
     # schedule cache) — the path a first-time sequence pays.
-    toolchain = HLSToolchain(sim_kernels=args.sim_kernels,
-                             sim_batch=args.sim_batch,
-                             sim_simd=args.sim_simd)
+    toolchain = HLSToolchain(sim_kernels=args.sim_kernels)
     profiler = toolchain.profiler
-    if args.batch_lanes is not None and profiler.sim_batch == "off":
-        print("--batch-lanes requires batched execution; it has no effect "
-              "with --sim-batch off (serial profiling)", file=sys.stderr)
-        return 2
-    if args.batch_lanes is not None and args.phase != "profile":
-        print("--batch-lanes widens the wave of --phase profile; one "
-              f"evaluation (--phase {args.phase}) has no wave", file=sys.stderr)
-        return 2
     run = cProfile.Profile()
     cycles = None
     if args.phase == "profile":
         candidate = clone_module(module)
         HLSToolchain.apply_passes(candidate, seq)
-        if profiler.sim_batch != "off":
-            # Profile the batched hot path the engine actually takes for
-            # populations: a wave of execution-equivalent lanes.
-            lanes = args.batch_lanes if args.batch_lanes is not None else 8
-            wave = [candidate] + [clone_module(candidate)
-                                  for _ in range(max(1, lanes) - 1)]
-            run.enable()
-            reports = profiler.profile_batch(wave)
-            run.disable()
-            report = reports[0]
-            if isinstance(report, BaseException):
-                raise report
-        else:
-            run.enable()
-            report = profiler.profile(candidate)
-            run.disable()
+        run.enable()
+        report = profiler.profile(candidate)
+        run.disable()
         cycles = report.cycles
     else:
         # the process-wide kernel/plan caches too, or an in-process caller
@@ -358,8 +333,7 @@ def _cmd_profile_hotspots(args) -> int:
         run.disable()
     print(f"{args.benchmark}: {'no' if cycles is None else cycles} cycles "
           f"after {len(seq)} passes (phase={args.phase}, "
-          f"sim_kernels={profiler.sim_kernels}, "
-          f"sim_batch={profiler.sim_batch}, sim_simd={profiler.sim_simd})")
+          f"sim_kernels={profiler.sim_kernels})")
     stats = pstats.Stats(run, stream=sys.stdout)
     stats.sort_stats(args.sort).print_stats(args.top)
     if args.json:
@@ -378,8 +352,6 @@ def _cmd_profile_hotspots(args) -> int:
         payload = {"benchmark": args.benchmark, "cycles": cycles,
                    "phase": args.phase,
                    "passes": len(seq), "sim_kernels": profiler.sim_kernels,
-                   "sim_batch": profiler.sim_batch,
-                   "sim_simd": profiler.sim_simd,
                    "sort": args.sort, "hotspots": rows[:args.top]}
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
@@ -731,26 +703,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                          "engine.evaluate of the sequence on a cleared "
                          "engine — clone, passes, hashing, scheduling, "
                          "simulation; 'materialize' only clone + passes; "
-                         "'profile' only the cold profile call (or batched "
-                         "wave) on the already optimized module")
+                         "'profile' only the cold profile call on the "
+                         "already optimized module")
     ph.add_argument("--sim-kernels", choices=["off", "on", "verify"],
                     default=None,
                     help="simulation backend under the profile "
                          "(default: $REPRO_SIM_KERNELS or 'on')")
-    ph.add_argument("--sim-batch", choices=["off", "on", "verify"],
-                    default=None,
-                    help="batched-execution mode under the profile; when not "
-                         "'off' the candidate is profiled as a batch-of-8 "
-                         "wave through the data-parallel executor "
-                         "(default: $REPRO_SIM_BATCH or 'on')")
-    ph.add_argument("--sim-simd", choices=["off", "on", "verify"],
-                    default=None,
-                    help="typed-SIMD column tier under batched execution "
-                         "(default: $REPRO_SIM_SIMD or 'on')")
-    ph.add_argument("--batch-lanes", type=int, default=None,
-                    help="wave width for '--phase profile' under --sim-batch "
-                         "(default 8; rejected when --sim-batch is 'off' or "
-                         "with another phase)")
     ph.add_argument("--top", type=int, default=25,
                     help="number of stat rows to print (default 25)")
     ph.add_argument("--sort", choices=["cumulative", "tottime", "ncalls"],

@@ -431,12 +431,10 @@ class EvaluationEngine:
         return [unique[canonical] for canonical in keyed]
 
     def _use_grouped(self, objective: str) -> bool:
-        """Whether cache misses of a batch should be profiled as one
-        data-parallel wave (``REPRO_SIM_BATCH`` on the toolchain's
-        profiler) instead of per-sequence on the thread pool."""
-        profiler = getattr(self.toolchain, "profiler", None)
+        """Whether cache misses of a batch are profiled as one wave
+        (the objective has a batched form; ``profile_batch`` decides how
+        to run it) instead of per-sequence on the thread pool."""
         return (objective in ("cycles", "cycles-area")
-                and getattr(profiler, "sim_batch", "off") != "off"
                 and hasattr(self.toolchain, "objective_values_batch"))
 
     def _evaluate_batch_grouped(
@@ -448,9 +446,8 @@ class EvaluationEngine:
         run per sequence with semantics identical to :meth:`_evaluate`
         (same statistics, same failure memoization), then every module
         that actually needs the simulator is profiled as ONE
-        ``objective_values_batch`` wave through the batch executor, which
-        dedups execution-equivalent candidates and runs shared kernels
-        lock-step."""
+        ``objective_values_batch`` wave, which schedules each structural
+        hash once and executes each distinct execution signature once."""
         state = self._state_for(program)
         to_profile: List[Tuple] = []  # (canonical, key, module, feats)
         for canonical in pending:

@@ -14,7 +14,6 @@ from .profiler import (
     CycleReport,
     HLSCompilationError,
     StepBudgetError,
-    sim_batch_mode,
     sim_kernels_mode,
 )
 from .area import AreaEstimator, AreaReport
@@ -26,7 +25,7 @@ __all__ = [
     "BlockSchedule", "FunctionSchedule", "ModuleSchedule", "ScheduledOp", "Scheduler",
     "function_state_counts_flat",
     "CycleProfiler", "CycleReport", "HLSCompilationError", "StepBudgetError",
-    "sim_kernels_mode", "sim_batch_mode",
+    "sim_kernels_mode",
     "AreaEstimator", "AreaReport",
     "RTLEmitter",
     "TraceRecorder", "replay_cycles", "verify_profile",

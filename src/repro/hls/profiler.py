@@ -33,13 +33,13 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .. import telemetry as tm
-from ..interp.batch_exec import BatchedKernelExecutor, sim_batch_mode, \
-    sim_simd_mode
+from ..interp.batch_exec import BatchedKernelExecutor
 from ..interp.interpreter import ExecutionResult, Interpreter
 from ..interp.kernels import (
     KernelInterpreter,
     VerificationError,
-    _error_category,
+    check_outcomes,
+    run_outcome,
     run_verified,
 )
 from ..interp.state import InterpreterLimitExceeded, StepBudgetExceeded, TrapError
@@ -51,8 +51,7 @@ from .sched_vec import function_state_counts_flat
 from .scheduler import Scheduler
 
 __all__ = ["CycleReport", "HLSCompilationError", "StepBudgetError",
-           "CycleProfiler", "sim_kernels_mode", "sim_batch_mode",
-           "sim_simd_mode"]
+           "CycleProfiler", "sim_kernels_mode"]
 
 # Burst engines move one slot per cycle after setup (see delays.py).
 _DYNAMIC_BURST = ("llvm.memset", "llvm.memcpy")
@@ -69,10 +68,11 @@ class StepBudgetError(HLSCompilationError):
 
 
 def sim_kernels_mode(override: Optional[str] = None) -> str:
-    """Resolve the simulation-backend toggle: ``off`` (reference
-    interpreter + scheduler), ``on`` (compiled kernels + batched
-    scheduler, the default), or ``verify`` (run both, hard-fail on any
-    divergence)."""
+    """Resolve the one simulation knob: ``off`` (reference interpreter +
+    scheduler), ``on`` (compiled kernels + batched scheduler, waves
+    deduplicated by execution signature; the default), or ``verify``
+    (``on``, with every result — serial or batched — cross-checked
+    against the reference; hard-fail on any divergence)."""
     mode = override if override is not None else os.environ.get("REPRO_SIM_KERNELS", "on")
     mode = mode.strip().lower()
     if mode not in ("off", "on", "verify"):
@@ -102,20 +102,13 @@ class CycleProfiler:
                  library: Optional[TimingLibrary] = None,
                  max_steps: int = 1_000_000,
                  schedule_cache_size: int = 512,
-                 sim_kernels: Optional[str] = None,
-                 sim_batch: Optional[str] = None,
-                 sim_simd: Optional[str] = None) -> None:
+                 sim_kernels: Optional[str] = None) -> None:
         self.scheduler = Scheduler(constraints, library)
         self.constraints = self.scheduler.constraints
         self.max_steps = max_steps
         # off | on | verify; results are bit-identical by contract, so the
         # mode is NOT part of any cache key or toolchain fingerprint.
         self.sim_kernels = sim_kernels_mode(sim_kernels)
-        # Same contract for the data-parallel batch executor behind
-        # profile_batch (None -> REPRO_SIM_BATCH, default "on").
-        self.sim_batch = sim_batch_mode(sim_batch)
-        # ...and for its typed-SIMD column tier (None -> REPRO_SIM_SIMD).
-        self.sim_simd = sim_simd_mode(sim_simd)
         # structural key -> per-block state counts (block order positional)
         self._schedule_cache: "OrderedDict[Tuple, List[int]]" = OrderedDict()
         self._schedule_cache_size = schedule_cache_size
@@ -141,26 +134,26 @@ class CycleProfiler:
         try:
             with tm.span("profile.execute", backend=self.sim_kernels):
                 execution = self._execute(module, entry, keys)
-        except StepBudgetExceeded as exc:
-            raise StepBudgetError(f"execution failed: {exc}") from exc
-        except (TrapError, InterpreterLimitExceeded) as exc:
-            raise HLSCompilationError(f"execution failed: {exc}") from exc
+        except (StepBudgetExceeded, TrapError, InterpreterLimitExceeded) as exc:
+            raise self._map_exec_error(exc)
         return self._combine(module, block_states, execution)
 
     def profile_batch(self, modules: List[Module],
                       entry: str = "main") -> List[object]:
-        """Profile a wave of modules through the data-parallel batch
-        executor. Returns one entry per module: a :class:`CycleReport`,
-        or the exception that lane failed with (:class:`StepBudgetError`
-        / :class:`HLSCompilationError` for legitimate failures, the raw
-        exception for crashes) — a failing lane never poisons siblings.
+        """Profile a wave of modules. Returns one entry per module: a
+        :class:`CycleReport`, or the exception that lane failed with
+        (:class:`StepBudgetError` / :class:`HLSCompilationError` for
+        legitimate failures, the raw exception for crashes) — a failing
+        lane never poisons siblings.
 
-        ``sim_batch=off`` (or a single-module wave) degrades to serial
-        :meth:`profile` calls; ``verify`` runs the batch AND the
-        per-program path and raises :class:`VerificationError` on any
-        ``ExecutionResult.observable()``/:class:`CycleReport`
-        divergence, anchoring results to the per-program side."""
-        mode = self.sim_batch
+        Follows ``sim_kernels`` like :meth:`profile`: ``off`` (or a
+        single-module wave) is serial :meth:`profile` calls; ``on``
+        schedules each structural hash once and executes each distinct
+        execution signature once; ``verify`` does the same, then checks
+        every lane — deduplicated ones included — against a reference
+        run of its own module, raising :class:`VerificationError` on
+        divergence and anchoring results to the reference."""
+        mode = self.sim_kernels
         if mode == "off" or len(modules) <= 1:
             return [self._profile_lane(module, entry) for module in modules]
         tm.count("profile.runs", len(modules))
@@ -181,16 +174,15 @@ class CycleProfiler:
                 err.__cause__ = exc
                 results[i] = err
         if exec_lanes:
-            executor = BatchedKernelExecutor(max_steps=self.max_steps,
-                                             sim_simd=self.sim_simd)
+            executor = BatchedKernelExecutor(max_steps=self.max_steps)
             with tm.span("profile.execute_batch", backend=mode,
                          lanes=len(exec_lanes)):
                 outcomes = executor.run_batch(
                     [(modules[i], keyed[i]) for i in exec_lanes], entry)
-            if mode == "verify":
-                outcomes = self._verify_batch(modules, keyed, exec_lanes,
-                                              outcomes, block_states, entry)
             for i, outcome in zip(exec_lanes, outcomes):
+                if mode == "verify":
+                    outcome = self._verified_lane(
+                        modules[i], keyed[i], block_states[i], outcome, entry)
                 if isinstance(outcome, ExecutionResult):
                     results[i] = self._combine(modules[i], block_states[i],
                                                outcome)
@@ -199,8 +191,8 @@ class CycleProfiler:
         return results
 
     def _profile_lane(self, module: Module, entry: str) -> object:
-        """Serial fallback lane: same per-lane error envelope as the
-        batched path (verification bugs still propagate loudly)."""
+        """Serial lane: same per-lane error envelope as the batched
+        path (verification bugs still propagate loudly)."""
         try:
             return self.profile(module, entry)
         except VerificationError:
@@ -210,8 +202,10 @@ class CycleProfiler:
 
     @staticmethod
     def _map_exec_error(exc: BaseException) -> BaseException:
-        """The HLS-failure envelope :meth:`profile` would raise for this
-        execution error; crashes pass through for the caller to wrap."""
+        """The HLS-failure envelope of an execution error, shared by
+        :meth:`profile` (which raises it) and :meth:`profile_batch`
+        (which returns it per lane); crashes and verification failures
+        pass through unchanged."""
         if isinstance(exc, StepBudgetExceeded):
             err: HLSCompilationError = StepBudgetError(f"execution failed: {exc}")
         elif isinstance(exc, (TrapError, InterpreterLimitExceeded)):
@@ -221,64 +215,25 @@ class CycleProfiler:
         err.__cause__ = exc
         return err
 
-    def _verify_batch(self, modules: List[Module], keyed: List[Dict],
-                      exec_lanes: List[int], outcomes: List[object],
-                      block_states: List[Optional[Dict]],
-                      entry: str) -> List[object]:
-        """Run the per-program path beside every batched lane and
-        hard-fail on divergence; per-program results are the anchor."""
-        anchored: List[object] = []
-        for i, outcome in zip(exec_lanes, outcomes):
-            ref_exc: Optional[BaseException] = None
-            ref_result: Optional[ExecutionResult] = None
-            try:
-                ref_result = self._execute(modules[i], entry, keyed[i])
-            except VerificationError:
-                raise
-            except Exception as exc:
-                ref_exc = exc
-            batch_exc = outcome if isinstance(outcome, BaseException) else None
-            if (batch_exc is None) != (ref_exc is None):
+    def _verified_lane(self, module: Module, keys: Dict,
+                       block_states: Dict[BasicBlock, int], outcome: object,
+                       entry: str) -> object:
+        """Check one batched lane's outcome against a reference run of
+        its own module — after the dedup fan-out, so a wrong remap is a
+        divergence too — and return the reference outcome (the anchor)."""
+        what = f"sim-kernel divergence on batched @{entry} of {module.name}"
+        reference = run_outcome(Interpreter, module, entry,
+                                max_steps=self.max_steps, plan_keys=keys)
+        check_outcomes(what, outcome, reference)
+        if isinstance(reference, ExecutionResult):
+            fast = self._combine(module, block_states, outcome)
+            anchor = self._combine(module, block_states, reference)
+            if fast.cycles != anchor.cycles:
                 raise VerificationError(
-                    f"sim-batch divergence on @{entry}: batched "
-                    f"{'raised ' + repr(batch_exc) if batch_exc else 'succeeded'}, "
-                    f"per-program "
-                    f"{'raised ' + repr(ref_exc) if ref_exc else 'succeeded'}")
-            if ref_exc is not None:
-                bcat, rcat = _error_category(batch_exc), _error_category(ref_exc)
-                if bcat != rcat:
-                    raise VerificationError(
-                        f"sim-batch divergence on @{entry}: batched error "
-                        f"category {bcat} ({batch_exc!r}) != per-program "
-                        f"{rcat} ({ref_exc!r})")
-                anchored.append(ref_exc)
-                continue
-            mismatches = []
-            if outcome.observable() != ref_result.observable():
-                mismatches.append("observable()")
-            if outcome.steps != ref_result.steps:
-                mismatches.append(
-                    f"steps {outcome.steps} != {ref_result.steps}")
-            if outcome.block_counts != ref_result.block_counts:
-                mismatches.append("block_counts")
-            if outcome.call_counts != ref_result.call_counts:
-                mismatches.append("call_counts")
-            if outcome.output != ref_result.output:
-                mismatches.append("output")
-            if not mismatches:
-                batch_report = self._combine(modules[i], block_states[i], outcome)
-                ref_report = self._combine(modules[i], block_states[i], ref_result)
-                if batch_report.cycles != ref_report.cycles:
-                    mismatches.append(f"cycles {batch_report.cycles} != "
-                                      f"{ref_report.cycles}")
-                elif batch_report.visits_by_block != ref_report.visits_by_block:
-                    mismatches.append("visits_by_block")
-            if mismatches:
-                raise VerificationError(
-                    f"sim-batch divergence on @{entry}: "
-                    f"{', '.join(mismatches)}")
-            anchored.append(ref_result)
-        return anchored
+                    f"{what}: cycles {fast.cycles} != {anchor.cycles}")
+            if fast.visits_by_block != anchor.visits_by_block:
+                raise VerificationError(f"{what}: visits_by_block")
+        return reference
 
     def _execute(self, module: Module, entry: str, keys: Dict) -> ExecutionResult:
         mode = self.sim_kernels

@@ -31,8 +31,6 @@ from .batch_exec import (
     BatchedKernelExecutor,
     batch_exec_info,
     clear_batch_exec_stats,
-    sim_batch_mode,
-    sim_simd_mode,
 )
 
 __all__ = [
@@ -43,6 +41,5 @@ __all__ = [
     "plan_cache_info", "clear_plan_cache",
     "KernelInterpreter", "VerificationError", "run_verified",
     "kernel_cache_info", "clear_kernel_cache",
-    "BatchedKernelExecutor", "sim_batch_mode", "sim_simd_mode",
-    "batch_exec_info", "clear_batch_exec_stats",
+    "BatchedKernelExecutor", "batch_exec_info", "clear_batch_exec_stats",
 ]

@@ -72,7 +72,6 @@ from ..ir.module import BasicBlock, Function, Module
 from ..ir.values import ConstantFloat, ConstantInt, GlobalVariable, UndefValue
 from .externals import call_external
 from .interpreter import ExecutionResult, Interpreter
-from .simd import _K_CONST, _K_GLOBAL, _K_REG, _K_TRAP, compile_plans
 from .state import (
     InterpreterLimitExceeded,
     Memory,
@@ -82,12 +81,16 @@ from .state import (
 )
 
 __all__ = ["KernelInterpreter", "VerificationError", "run_verified",
+           "run_outcome", "check_outcomes",
            "kernel_cache_info", "clear_kernel_cache", "compiled_for"]
 
 _pointer_compare = Interpreter._pointer_compare
 
-# Operand descriptor kinds (compile-time classification of a Value) are
-# shared with the typed-SIMD plan compiler — interp.simd owns them.
+# Operand descriptor kinds (compile-time classification of a Value).
+_K_REG = 0     # val = register slot index
+_K_CONST = 1   # val = folded Python constant
+_K_GLOBAL = 2  # val = index into the per-execution global-pointer table
+_K_TRAP = 3    # val = TrapError message (use of the value traps)
 
 _RET_NONE = ("ret", None)
 
@@ -102,29 +105,19 @@ class CompiledFunction:
     """The module-independent compiled form of one function body."""
 
     __slots__ = ("nregs", "nargs", "alloca_slot", "nblocks",
-                 "blocks", "gnames", "callee_specs",
-                 "col_plans", "has_col_plans")
+                 "blocks", "gnames", "callee_specs")
 
     def __init__(self, nregs: int, nargs: int, alloca_slot: int,
                  blocks: List[Tuple], gnames: List[str],
-                 callee_specs: List[Tuple[str, str]],
-                 col_plans: Optional[Tuple] = None) -> None:
+                 callee_specs: List[Tuple[str, str]]) -> None:
         self.nregs = nregs
         self.nargs = nargs
         self.alloca_slot = alloca_slot  # -1 when the function has no allocas
         self.nblocks = len(blocks)
-        # per block: (phi_edges, segments, term, term_counts_step, term_desc)
-        # term_desc is a declarative form of simple terminators — see
-        # _FunctionCompiler._term_desc — consumed by the lock-step batch
-        # executor so one decode serves a whole wave; None falls back to
-        # calling the scalar ``term`` closure per lane.
+        # per block: (phi_edges, segments, term, term_counts_step)
         self.blocks = blocks
         self.gnames = gnames
         self.callee_specs = callee_specs
-        # typed-SIMD column plans, indexed like ``blocks``: per block None
-        # or a per-segment tuple of None | ColumnPlan (see interp.simd).
-        self.col_plans = col_plans
-        self.has_col_plans = col_plans is not None
 
 
 class _ExecState:
@@ -177,7 +170,7 @@ class _BoundFunction:
         try:
             while True:
                 counts[bidx] += 1
-                phi_edges, segments, term, term_counts, _ = blocks[bidx]
+                phi_edges, segments, term, term_counts = blocks[bidx]
                 if phi_edges is not None:
                     moves = phi_edges[prev]
                     if type(moves) is str:
@@ -315,10 +308,6 @@ class _FunctionCompiler:
         self.block_index: Dict[BasicBlock, int] = {
             bb: i for i, bb in enumerate(func.blocks)}
         self.alloca_slot = -1
-        # per block: (phis, segment instruction lists, terminator | None),
-        # mirroring the compiled ``blocks`` segmentation — the typed-SIMD
-        # plan compiler classifies segments from this layout.
-        self.block_layouts: List[Tuple] = []
 
     # -- slot / table allocation -------------------------------------------
     def _allocate_slots(self) -> int:
@@ -386,8 +375,7 @@ class _FunctionCompiler:
         nregs = self._allocate_slots()
         blocks = [self._compile_block(bb) for bb in self.func.blocks]
         return CompiledFunction(nregs, len(self.func.args), self.alloca_slot,
-                                blocks, self.gnames, self.callee_specs,
-                                compile_plans(self))
+                                blocks, self.gnames, self.callee_specs)
 
     def _compile_block(self, bb: BasicBlock) -> Tuple:
         phis = bb.phis()
@@ -406,68 +394,23 @@ class _FunctionCompiler:
             term = self._trap_step(
                 f"block {bb.name} fell through without terminator")
             term_counts = False
-            term_desc = None
         else:
             straight = body[:term_at]
             term = self._compile_inst(body[term_at])
             term_counts = True
-            term_desc = self._term_desc(body[term_at])
 
         # Segment the straight-line trace at call boundaries so the step
         # counter is exact whenever control enters a callee.
         segments: List[Tuple[int, Tuple]] = []
-        seg_insts: List[List] = []
         run: List = []
-        run_insts: List = []
         for inst in straight:
             run.append(self._compile_inst(inst))
-            run_insts.append(inst)
             if isinstance(inst, (CallInst, InvokeInst)):
                 segments.append((len(run), tuple(run)))
-                seg_insts.append(run_insts)
                 run = []
-                run_insts = []
         if run:
             segments.append((len(run), tuple(run)))
-            seg_insts.append(run_insts)
-        self.block_layouts.append(
-            (phis, seg_insts, body[term_at] if term_at is not None else None))
-        return (phi_edges, tuple(segments), term, term_counts, term_desc)
-
-    def _term_desc(self, inst) -> Optional[Tuple]:
-        """Declarative terminator form for wave-wide dispatch, or None
-        when only the scalar closure can evaluate it (invoke, trapping
-        operands, generic getters)."""
-        if isinstance(inst, BranchInst):
-            if not inst.is_conditional:
-                return ("br", self.block_index[inst.true_target])
-            t = self.block_index[inst.true_target]
-            f = self.block_index[inst.false_target]
-            kind, val = self._operand(inst.condition)
-            if kind == _K_REG:
-                return ("cbr", val, t, f)
-            if kind == _K_CONST:
-                return ("br", t if val else f)
-            return None
-        if isinstance(inst, SwitchInst):
-            kind, val = self._operand(inst.condition)
-            if kind != _K_REG:
-                return None
-            table: Dict[int, int] = {}
-            for const, target in inst.cases:
-                table.setdefault(const.value, self.block_index[target])
-            return ("switch", val, table, self.block_index[inst.default])
-        if isinstance(inst, ReturnInst):
-            rv = inst.return_value
-            if rv is None:
-                return ("ret_const", None)
-            kind, val = self._operand(rv)
-            if kind == _K_REG:
-                return ("ret_reg", val)
-            if kind == _K_CONST:
-                return ("ret_const", val)
-            return None
-        return None
+        return (phi_edges, tuple(segments), term, term_counts)
 
     def _compile_phis(self, phis: List[PhiNode]) -> Dict[int, object]:
         edges: Dict[int, object] = {}
@@ -895,7 +838,6 @@ _kernel_cache: "OrderedDict[Tuple, CompiledFunction]" = OrderedDict()
 _kernel_lock = threading.Lock()
 _kernel_hits = 0
 _kernel_misses = 0
-_kernel_fallbacks = 0  # modules the profiler sent back to the reference
 
 
 def compiled_for(func: Function, key: Tuple) -> CompiledFunction:
@@ -917,25 +859,18 @@ def compiled_for(func: Function, key: Tuple) -> CompiledFunction:
     return cf
 
 
-def count_fallback() -> None:
-    global _kernel_fallbacks
-    with _kernel_lock:
-        _kernel_fallbacks += 1
-
-
 def kernel_cache_info() -> Dict[str, int]:
     with _kernel_lock:
         return {"kernel_entries": len(_kernel_cache),
                 "kernel_hits": _kernel_hits,
-                "kernel_misses": _kernel_misses,
-                "kernel_fallbacks": _kernel_fallbacks}
+                "kernel_misses": _kernel_misses}
 
 
 def clear_kernel_cache() -> None:
-    global _kernel_hits, _kernel_misses, _kernel_fallbacks
+    global _kernel_hits, _kernel_misses
     with _kernel_lock:
         _kernel_cache.clear()
-        _kernel_hits = _kernel_misses = _kernel_fallbacks = 0
+        _kernel_hits = _kernel_misses = 0
 
 
 # -- execution ----------------------------------------------------------------
@@ -1027,6 +962,16 @@ class KernelInterpreter:
 
 # -- verify mode --------------------------------------------------------------
 
+def run_outcome(interp_cls, module: Module, entry: str, **config) -> object:
+    """``interp_cls(module, **config).run(entry)`` — or the exception it
+    raised, returned instead, so a wave can carry failures per lane and
+    verify mode can compare them."""
+    try:
+        return interp_cls(module, **config).run(entry)
+    except Exception as exc:
+        return exc
+
+
 def _error_category(exc: BaseException) -> str:
     if isinstance(exc, StepBudgetExceeded):
         return "budget"
@@ -1035,6 +980,42 @@ def _error_category(exc: BaseException) -> str:
     if isinstance(exc, TrapError):
         return "trap"
     return type(exc).__name__
+
+
+def check_outcomes(what: str, fast: object, reference: object) -> None:
+    """The one compare harness behind ``verify``: ``fast`` and
+    ``reference`` are :func:`run_outcome` values for the same module.
+    Raises :class:`VerificationError` unless both failed with the same
+    error category, or both succeeded with equal ``observable()``,
+    ``steps``, ``block_counts``, ``call_counts`` and ``output``."""
+    def describe(outcome: object) -> str:
+        return (f"raised {outcome!r}" if isinstance(outcome, BaseException)
+                else "succeeded")
+
+    fast_failed = isinstance(fast, BaseException)
+    if fast_failed != isinstance(reference, BaseException):
+        raise VerificationError(f"{what}: kernels {describe(fast)}, "
+                                f"reference {describe(reference)}")
+    if fast_failed:
+        fcat, rcat = _error_category(fast), _error_category(reference)
+        if fcat != rcat:
+            raise VerificationError(
+                f"{what}: kernel error category {fcat} ({fast!r}) != "
+                f"reference {rcat} ({reference!r})")
+        return
+    mismatches = []
+    if fast.observable() != reference.observable():
+        mismatches.append("observable()")
+    if fast.steps != reference.steps:
+        mismatches.append(f"steps {fast.steps} != {reference.steps}")
+    if fast.block_counts != reference.block_counts:
+        mismatches.append("block_counts")
+    if fast.call_counts != reference.call_counts:
+        mismatches.append("call_counts")
+    if fast.output != reference.output:
+        mismatches.append("output")
+    if mismatches:
+        raise VerificationError(f"{what}: {', '.join(mismatches)}")
 
 
 def run_verified(module: Module, entry: str = "main",
@@ -1048,48 +1029,12 @@ def run_verified(module: Module, entry: str = "main",
     re-raised. A category mismatch or any observable difference raises
     :class:`VerificationError`.
     """
-    kernel_exc: Optional[BaseException] = None
-    kernel_result: Optional[ExecutionResult] = None
-    try:
-        kernel_result = KernelInterpreter(
-            module, max_steps=max_steps, max_call_depth=max_call_depth,
-            keys=keys).run(entry)
-    except Exception as exc:
-        kernel_exc = exc
-
-    ref_exc: Optional[BaseException] = None
-    ref_result: Optional[ExecutionResult] = None
-    try:
-        ref_result = Interpreter(module, max_steps=max_steps,
-                                 max_call_depth=max_call_depth,
-                                 plan_keys=plan_keys).run(entry)
-    except Exception as exc:
-        ref_exc = exc
-
-    if (kernel_exc is None) != (ref_exc is None):
-        raise VerificationError(
-            f"sim-kernel divergence on @{entry}: kernels "
-            f"{'raised ' + repr(kernel_exc) if kernel_exc else 'succeeded'}, "
-            f"reference {'raised ' + repr(ref_exc) if ref_exc else 'succeeded'}")
-    if ref_exc is not None:
-        kcat, rcat = _error_category(kernel_exc), _error_category(ref_exc)
-        if kcat != rcat:
-            raise VerificationError(
-                f"sim-kernel divergence on @{entry}: kernel error category "
-                f"{kcat} ({kernel_exc!r}) != reference {rcat} ({ref_exc!r})")
-        raise ref_exc
-    mismatches = []
-    if kernel_result.observable() != ref_result.observable():
-        mismatches.append("observable()")
-    if kernel_result.steps != ref_result.steps:
-        mismatches.append(f"steps {kernel_result.steps} != {ref_result.steps}")
-    if kernel_result.block_counts != ref_result.block_counts:
-        mismatches.append("block_counts")
-    if kernel_result.call_counts != ref_result.call_counts:
-        mismatches.append("call_counts")
-    if kernel_result.output != ref_result.output:
-        mismatches.append("output")
-    if mismatches:
-        raise VerificationError(
-            f"sim-kernel divergence on @{entry}: {', '.join(mismatches)}")
-    return ref_result
+    fast = run_outcome(KernelInterpreter, module, entry, max_steps=max_steps,
+                       max_call_depth=max_call_depth, keys=keys)
+    reference = run_outcome(Interpreter, module, entry, max_steps=max_steps,
+                            max_call_depth=max_call_depth,
+                            plan_keys=plan_keys)
+    check_outcomes(f"sim-kernel divergence on @{entry}", fast, reference)
+    if isinstance(reference, BaseException):
+        raise reference
+    return reference

@@ -178,8 +178,8 @@ class _WorkerState:
     def evaluate_many(self, program_id: int, items) -> list:
         """Evaluate a whole per-shard submission, batching engine-bound
         items of a shared evaluation context through one
-        ``engine.evaluate_batch`` call so the data-parallel batch
-        executor sees the worker's full wave. Persistent-store hits stay
+        ``engine.evaluate_batch`` call so the batch executor's dedup
+        sees the worker's full wave. Persistent-store hits stay
         per-item (no simulator cost to batch); a crashing candidate
         falls the whole group back to per-item evaluation, which reports
         ``("error", ...)`` only for the offender."""

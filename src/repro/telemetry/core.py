@@ -451,7 +451,7 @@ class _Span:
                 reg._events.append(record)
                 reg._flight.append(record)
             # Flight-recorder dump: a VerificationError anywhere in the
-            # stack (kernel/batch/SIMD verify tiers) snapshots the last-N
+            # stack (REPRO_SIM_KERNELS=verify) snapshots the last-N
             # spans into the trace log for post-mortems. Matched by name
             # because telemetry stays stdlib-only (no repro imports);
             # deduped per exception instance so one error unwinding

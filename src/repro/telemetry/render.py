@@ -187,10 +187,6 @@ def render_cache_table(info: Dict[str, Any]) -> str:
     # "rate" = deduped lanes / lanes submitted to the batch executor
     add("batch executor (lanes deduped)", info.get("batch_dedup_saved"),
         info.get("batch_executed"), always=True)
-    # "rate" = typed-tier coverage: column-plan segments / segments run
-    add("typed SIMD tier (segments vectorized)",
-        info.get("simd_segments_vectorized"),
-        info.get("simd_segments_scalar"), always=True)
     add("exec-signature memo", info.get("batch_sig_memo_hits"),
         info.get("batch_sig_memo_misses"), always=True)
     rows = [r for r in rows if r[1] or r[2] or r[4]]

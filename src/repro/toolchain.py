@@ -70,12 +70,9 @@ class HLSToolchain:
     # multiply-count them)
     _NON_ADDITIVE_KEYS = frozenset({
         "workers",
-        "kernel_entries", "kernel_hits", "kernel_misses", "kernel_fallbacks",
+        "kernel_entries", "kernel_hits", "kernel_misses",
         "plan_entries", "plan_hits", "plan_misses",
-        "batch_runs", "batch_lanes", "batch_executed",
-        "batch_dedup_saved", "batch_fallbacks",
-        "simd_segments_vectorized", "simd_segments_scalar",
-        "simd_guard_fallbacks", "simd_column_ops", "simd_vectorized_ratio",
+        "batch_runs", "batch_lanes", "batch_executed", "batch_dedup_saved",
         "batch_sig_memo_hits", "batch_sig_memo_misses",
     })
 
@@ -96,14 +93,19 @@ class HLSToolchain:
                              "choose 'engine', 'service' or 'none'")
         self.backend = backend
         # sim_kernels: off | on | verify (None -> REPRO_SIM_KERNELS, default
-        # "on"). Deliberately NOT part of the toolchain fingerprint or any
-        # cache key — backends are bit-identical by contract.
-        # sim_batch mirrors the same contract for the data-parallel batch
-        # executor behind profile_batch (None -> REPRO_SIM_BATCH).
+        # "on") — the one simulation knob. Deliberately NOT part of the
+        # toolchain fingerprint or any cache key — backends are
+        # bit-identical by contract.
+        # sim_batch / sim_simd are retired: the knobs they set no longer
+        # exist. They are still accepted (and validated) because
+        # benchmarks/e2e/oracle.py passes them, then ignored.
+        for name, value in (("sim_batch", sim_batch), ("sim_simd", sim_simd)):
+            if value not in ("off", "on", "verify", None):
+                raise ValueError(f"{name} must be off|on|verify, got {value!r}")
         self.profiler = CycleProfiler(
             constraints, max_steps=max_steps,
             schedule_cache_size=0 if backend == "none" else 512,
-            sim_kernels=sim_kernels, sim_batch=sim_batch, sim_simd=sim_simd)
+            sim_kernels=sim_kernels)
         self.samples_taken = 0
         # The engine's batch API profiles from worker threads; a bare
         # ``+= 1`` would drop increments under that interleaving.
@@ -161,8 +163,8 @@ class HLSToolchain:
 
     def profile_batch(self, modules: Sequence[Module],
                       entry: str = "main") -> List[object]:
-        """Profile a wave of modules through the data-parallel batch
-        executor. Each entry is a :class:`CycleReport` or the exception
+        """Profile a wave of modules (execution-equivalent lanes run
+        once). Each entry is a :class:`CycleReport` or the exception
         that lane failed with; every lane costs exactly one simulator
         sample, same as a serial :meth:`profile` loop."""
         self._count_samples(len(modules))

@@ -1,22 +1,30 @@
-"""Data-parallel batched execution: bit-identity against the reference
-per-program kernels, lane isolation, and the verify-mode contract."""
+"""Batched execution = execution-signature dedup: bit-identity against
+per-program runs, lane isolation, the one-knob (``sim_kernels``)
+contract on waves, and the exec_signature memo."""
 
 from __future__ import annotations
+
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
-from repro.engine.core import EvaluationEngine
+import repro
 from repro.hls.profiler import CycleProfiler, CycleReport
+from repro.interp import batch_exec
 from repro.interp.batch_exec import (
     BatchedKernelExecutor,
     batch_exec_info,
     clear_batch_exec_stats,
     exec_signature,
-    sim_batch_mode,
 )
-from repro.interp.kernels import KernelInterpreter, VerificationError
-from repro.interp.state import StepBudgetExceeded, TrapError
+from repro.interp.kernels import (
+    KernelInterpreter,
+    VerificationError,
+    _error_category,
+)
+from repro.interp.state import StepBudgetExceeded
 from repro.ir import Function, GlobalVariable, IRBuilder, Module
 from repro.ir import types as ty
 from repro.passes.registry import PASS_TABLE, TERMINATE_INDEX
@@ -28,7 +36,7 @@ def build_global_loop_module(trip: int, name: str = "gloop",
                              oob_index: int = 0) -> Module:
     """A counted loop whose trip count (and an array index) load from
     globals — so modules with different behaviour keep ONE structural
-    key and land in the same lock-step cohort.
+    key (one shared kernel) but distinct execution signatures.
 
     ``s = 0; for (i = 0; i < @trip; i++) s += buf[@idx + i % 4]; return s``
     With ``oob_index`` pushed past the buffer, the lane traps mid-loop.
@@ -86,12 +94,12 @@ def solo_outcome(module: Module, max_steps: int = 1_000_000):
         return (False, (type(exc), str(exc)))
 
 
-class TestLockstepParity:
+class TestBatchParity:
     @pytest.mark.parametrize("bench", ["qsort", "gsm"])
     def test_every_registry_pass_parity(self, benchmarks, bench):
         """One profile_batch over the base program plus each single-pass
-        variant is bit-identical to per-program (sim_batch=off)
-        profiling — across every pass in the Table-1 registry."""
+        variant is bit-identical to serial per-program profiling —
+        across every pass in the Table-1 registry."""
         base = benchmarks[bench]
         passes = [p for i, p in enumerate(dict.fromkeys(PASS_TABLE))
                   if PASS_TABLE.index(p) != TERMINATE_INDEX]
@@ -101,17 +109,16 @@ class TestLockstepParity:
             HLSToolchain.apply_passes(candidate, [name])
             variants.append(candidate)
 
-        batched = CycleProfiler(sim_batch="on")
-        reports = batched.profile_batch(variants)
-        serial = CycleProfiler(sim_batch="off")
+        reports = CycleProfiler(sim_kernels="on").profile_batch(variants)
+        serial = CycleProfiler(sim_kernels="on")
         for name, module, report in zip(["<base>"] + passes, variants, reports):
             assert isinstance(report, CycleReport), (name, report)
             expected = serial.profile(clone_module(module))
             assert report_fingerprint(report) == report_fingerprint(expected), name
 
-    def test_divergent_lanes_share_one_cohort(self):
-        """Same structural key, different global-driven behaviour: the
-        lanes run lock-step (no scalar fallback) and each matches its
+    def test_divergent_lanes_dedup_by_content_not_key(self):
+        """Same structural key, different global-driven behaviour: lanes
+        dedup only when their *contents* match, and each matches its
         solo run exactly."""
         trips = [3, 17, 0, 255, 17]
         modules = [build_global_loop_module(t) for t in trips]
@@ -122,16 +129,19 @@ class TestLockstepParity:
         outcomes = BatchedKernelExecutor().run_batch(
             [(m, None) for m in modules])
         info = batch_exec_info()
+        assert info["batch_runs"] == 1
         assert info["batch_lanes"] == 5
         assert info["batch_executed"] == 4  # the duplicate trip=17 deduped
         assert info["batch_dedup_saved"] == 1
-        assert info["batch_fallbacks"] == 0  # one lock-step cohort, no scalar
         for module, outcome in zip(modules, outcomes):
             ok, ref = solo_outcome(module)
             assert ok, ref
             assert outcome.observable() == ref.observable()
             assert outcome.steps == ref.steps
             assert dict(outcome.call_counts) == dict(ref.call_counts)
+            # block counts come back keyed by the lane's OWN blocks
+            assert set(outcome.block_counts) <= set(
+                module.get_function("main").blocks)
 
 
 class TestLaneIsolation:
@@ -169,15 +179,115 @@ class TestLaneIsolation:
                                            (clone_module(wide), None)])
             ok, ref = solo_outcome(short, max_steps=max_steps)
             if ok:
-                assert isinstance(outcomes[0], type(ref)) or \
-                    outcomes[0].observable() == ref.observable()
+                assert outcomes[0].observable() == ref.observable()
                 assert outcomes[0].steps == ref.steps
             else:
                 assert type(outcomes[0]) is ref[0] is StepBudgetExceeded
                 assert str(outcomes[0]) == ref[1]
 
+    def test_failing_representative_fans_out_to_deduped_lanes(self):
+        """Execution-equivalent clones of a trapping module all fail with
+        the representative's error category; the healthy lane between
+        them completes."""
+        trapping = build_global_loop_module(9, oob_index=7)
+        healthy = build_global_loop_module(6)
+        modules = [trapping, healthy, clone_module(trapping),
+                   clone_module(trapping)]
+        clear_batch_exec_stats()
+        outcomes = BatchedKernelExecutor().run_batch(
+            [(m, None) for m in modules])
+        assert batch_exec_info()["batch_executed"] == 2
+        ok, ref_trap = solo_outcome(trapping)
+        assert not ok
+        for i in (0, 2, 3):
+            assert isinstance(outcomes[i], ref_trap[0])
+            assert _error_category(outcomes[i]) == "trap"
+            assert str(outcomes[i]) == ref_trap[1]
+        ok, ref = solo_outcome(healthy)
+        assert ok and outcomes[1].observable() == ref.observable()
+
+
+class TestOneKnobOnWaves:
+    """``sim_kernels`` governs ``profile_batch`` exactly like ``profile``."""
+
+    @pytest.fixture()
+    def no_kernels(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("sim_kernels=off must not touch kernels")
+
+        monkeypatch.setattr(KernelInterpreter, "__init__", refuse)
+
+    def test_off_is_honoured_on_waves(self, benchmarks, no_kernels):
+        profiler = CycleProfiler(sim_kernels="off")
+        wave = [clone_module(benchmarks["gsm"]),
+                clone_module(benchmarks["qsort"])]
+        reports = profiler.profile_batch(wave)
+        serial = [profiler.profile(clone_module(m)) for m in wave]
+        assert [report_fingerprint(r) for r in reports] == \
+            [report_fingerprint(r) for r in serial]
+
+    def test_off_toolchain_evaluates_batches_on_the_reference(
+            self, benchmarks, no_kernels):
+        toolchain = HLSToolchain(sim_kernels="off")
+        rows = toolchain.engine.evaluate_batch(
+            benchmarks["gsm"], [["-adce"], ["-gvn"], []])
+        assert all(isinstance(v, float) for v in rows)
+
+    def test_single_sim_knob(self, benchmarks):
+        """REPRO_SIM_KERNELS is the only simulation env var left, and the
+        e2e oracle's exact constructor call still builds a reference
+        toolchain (the two retired keywords are accepted and ignored)."""
+        src = pathlib.Path(repro.__file__).parent
+        knobs = set()
+        for path in src.rglob("*.py"):
+            knobs.update(re.findall(r"REPRO_SIM_\w+", path.read_text()))
+        assert knobs == {"REPRO_SIM_KERNELS"}
+
+        oracle = HLSToolchain(backend="none", sim_kernels="off",
+                              sim_batch="off", sim_simd="off")
+        assert oracle.profiler.sim_kernels == "off"
+        assert not hasattr(oracle.profiler, "sim_batch")
+        plain = CycleProfiler(sim_kernels="off").profile(
+            clone_module(benchmarks["gsm"]))
+        assert report_fingerprint(oracle.profile(
+            clone_module(benchmarks["gsm"]))) == report_fingerprint(plain)
+        with pytest.raises(ValueError, match="sim_simd"):
+            HLSToolchain(backend="none", sim_simd="sometimes")
+
 
 class TestVerifyMode:
+    """``sim_kernels="verify"`` covers waves: every lane, after the
+    dedup fan-out, against a reference run of its own module."""
+
+    @staticmethod
+    def wave(benchmarks):
+        return [clone_module(benchmarks["gsm"]),
+                clone_module(benchmarks["qsort"]),
+                clone_module(benchmarks["gsm"])]  # deduped onto lane 0
+
+    def test_verify_matches_clean_run(self, benchmarks):
+        wave = self.wave(benchmarks)
+        verified = CycleProfiler(sim_kernels="verify").profile_batch(wave)
+        reference = CycleProfiler(sim_kernels="off")
+        for module, report in zip(wave, verified):
+            assert report_fingerprint(report) == report_fingerprint(
+                reference.profile(clone_module(module)))
+
+    def test_verify_checks_the_dedup_fanout(self, benchmarks, monkeypatch):
+        """verify looks at every lane *after* the remap: a fan-out that
+        shifts one block count is a divergence."""
+        real = batch_exec._remap_result
+
+        def shifted(result, src, dst):
+            out = real(result, src, dst)
+            out.block_counts[next(iter(out.block_counts))] += 1
+            return out
+
+        monkeypatch.setattr(batch_exec, "_remap_result", shifted)
+        with pytest.raises(VerificationError, match="block_counts"):
+            CycleProfiler(sim_kernels="verify").profile_batch(
+                self.wave(benchmarks))
+
     def test_verify_raises_on_batched_divergence(self, benchmarks, monkeypatch):
         modules = [clone_module(benchmarks["qsort"]) for _ in range(3)]
         real = BatchedKernelExecutor.run_batch
@@ -188,57 +298,43 @@ class TestVerifyMode:
             return outcomes
 
         monkeypatch.setattr(BatchedKernelExecutor, "run_batch", corrupting)
-        profiler = CycleProfiler(sim_batch="verify")
-        with pytest.raises(VerificationError, match="sim-batch divergence"):
+        profiler = CycleProfiler(sim_kernels="verify")
+        with pytest.raises(VerificationError, match="sim-kernel divergence"):
             profiler.profile_batch(modules)
-
-    def test_verify_matches_clean_run(self, benchmarks):
-        modules = [clone_module(benchmarks["gsm"]) for _ in range(3)]
-        verified = CycleProfiler(sim_batch="verify").profile_batch(modules)
-        plain = CycleProfiler(sim_batch="off").profile(
-            clone_module(benchmarks["gsm"]))
-        for report in verified:
-            assert report_fingerprint(report) == report_fingerprint(plain)
-
-    def test_mode_resolution_and_validation(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SIM_BATCH", raising=False)
-        assert sim_batch_mode() == "on"
-        monkeypatch.setenv("REPRO_SIM_BATCH", "verify")
-        assert sim_batch_mode() == "verify"
-        assert sim_batch_mode("off") == "off"  # override beats env
-        with pytest.raises(ValueError):
-            sim_batch_mode("sometimes")
 
 
 class TestEngineSeam:
     SEQS = [["-adce"], ["-simplifycfg"], ["-adce"], [], ["-gvn"],
             ["-instcombine"], ["-licm"], ["-mem2reg"]]
 
-    def _run(self, program, mode, want_features=False):
-        toolchain = HLSToolchain(sim_batch=mode)
+    def _batched(self, program, want_features=False):
+        toolchain = HLSToolchain(sim_kernels="on")
         toolchain.engine.clear()
         rows = toolchain.engine.evaluate_batch(program, self.SEQS,
                                                want_features=want_features)
         return rows, toolchain.samples_taken
 
     def test_grouped_batch_matches_serial_values_and_samples(self, benchmarks):
-        rows_off, samples_off = self._run(benchmarks["qsort"], "off")
-        rows_on, samples_on = self._run(benchmarks["qsort"], "on")
-        assert rows_off == rows_on
-        assert samples_off == samples_on
+        rows, samples = self._batched(benchmarks["qsort"])
+        serial = HLSToolchain(sim_kernels="on")
+        serial.engine.clear()
+        assert rows == [serial.engine.evaluate(benchmarks["qsort"], seq)
+                        for seq in self.SEQS]
+        assert samples == serial.samples_taken
 
     def test_grouped_batch_with_features(self, benchmarks):
-        rows_off, samples_off = self._run(benchmarks["qsort"], "off",
-                                          want_features=True)
-        rows_on, samples_on = self._run(benchmarks["qsort"], "on",
-                                        want_features=True)
-        assert samples_off == samples_on
-        for (v_off, f_off), (v_on, f_on) in zip(rows_off, rows_on):
-            assert v_off == v_on
-            assert np.array_equal(f_off, f_on)
+        rows, samples = self._batched(benchmarks["qsort"], want_features=True)
+        serial = HLSToolchain(sim_kernels="on")
+        serial.engine.clear()
+        for seq, (value, feats) in zip(self.SEQS, rows):
+            v_serial, f_serial = serial.engine.evaluate_with_features(
+                benchmarks["qsort"], seq)
+            assert value == v_serial
+            assert np.array_equal(feats, f_serial)
+        assert samples == serial.samples_taken
 
     def test_memo_hits_skip_the_batch_executor(self, benchmarks):
-        toolchain = HLSToolchain(sim_batch="on")
+        toolchain = HLSToolchain(sim_kernels="on")
         toolchain.engine.clear()
         toolchain.engine.evaluate_batch(benchmarks["gsm"], self.SEQS)
         warm_samples = toolchain.samples_taken
@@ -250,12 +346,18 @@ class TestEngineSeam:
                                                         self.SEQS)
 
     def test_cache_info_exposes_batch_counters(self, benchmarks):
-        toolchain = HLSToolchain(sim_batch="on")
+        toolchain = HLSToolchain(sim_kernels="on")
         toolchain.engine.clear()
         toolchain.engine.evaluate_batch(benchmarks["qsort"], self.SEQS)
         info = toolchain.engine.cache_info()
         assert info["batch_lanes"] > 0
         assert info["batch_executed"] > 0
+        # the keys benchmarks/e2e/workloads.py reads by name
+        for key in ("kernel_hits", "kernel_misses", "batch_lanes",
+                    "batch_dedup_saved"):
+            assert key in info
+        assert info["batch_lanes"] == \
+            info["batch_executed"] + info["batch_dedup_saved"]
 
 
 class TestSatellites:
@@ -294,10 +396,11 @@ class TestSatellites:
         assert "kernel cache" in out
         assert "block-plan cache" in out
         assert "batch executor" in out
+        assert "exec-signature memo" in out
         assert "(no cache activity" not in out
 
-    def test_sim_batch_stays_out_of_fingerprints(self):
-        fps = {toolchain_fingerprint(HLSToolchain(sim_batch=mode))
+    def test_sim_knob_stays_out_of_fingerprints(self):
+        fps = {toolchain_fingerprint(HLSToolchain(sim_kernels=mode))
                for mode in ("off", "on", "verify")}
         assert len(fps) == 1
 
@@ -320,8 +423,7 @@ class TestSatellites:
         batched_state.register(1, fp, dumps_module(program))
         batched = batched_state.evaluate_many(1, items)
 
-        serial_state = _WorkerState(1, str(tmp_path / "b"),
-                                    {"sim_batch": "off"})
+        serial_state = _WorkerState(1, str(tmp_path / "b"), {})
         serial_state.register(1, fp, dumps_module(program))
         serial = [serial_state.evaluate_one(1, item) for item in items]
         assert batched == serial
@@ -332,3 +434,47 @@ class TestSatellites:
         warm.register(1, fp, dumps_module(program))
         assert warm.evaluate_many(1, items) == batched
         assert warm.toolchain.samples_taken == 0
+
+
+class TestExecSignatureMemo:
+    def test_repeat_waves_hit_the_memo(self):
+        clear_batch_exec_stats()
+        m = build_global_loop_module(6)
+        sig = exec_signature(m, "main")
+        assert exec_signature(m, "main") == sig
+        assert exec_signature(m, "main") == sig
+        info = batch_exec_info()
+        assert info["batch_sig_memo_misses"] == 1
+        assert info["batch_sig_memo_hits"] == 2
+
+    def test_version_bump_invalidates(self):
+        clear_batch_exec_stats()
+        m = build_global_loop_module(6)
+        sig = exec_signature(m, "main")
+        m.version += 1  # what PassManager does on any mutation
+        assert exec_signature(m, "main") == sig  # unchanged content
+        info = batch_exec_info()
+        assert info["batch_sig_memo_misses"] == 2
+        assert info["batch_sig_memo_hits"] == 0
+
+    def test_memo_stays_coherent_across_passes(self):
+        """After a real pass pipeline mutates the module, the memo must
+        serve the *new* signature, not the stale pre-pass one."""
+        m = build_global_loop_module(6)
+        exec_signature(m, "main")
+        version_before = m.version
+        HLSToolchain.apply_passes(m, ["-mem2reg", "-instcombine"])
+        assert m.version > version_before  # the invalidation contract
+        after = exec_signature(m, "main")
+        fresh = clone_module(m)
+        assert exec_signature(fresh, "main") == after  # uncached recompute
+
+    def test_entries_keyed_per_entry_point(self):
+        clear_batch_exec_stats()
+        m = build_global_loop_module(6)
+        exec_signature(m, "main")
+        exec_signature(m, "main")
+        sig_other = exec_signature(m, "nosuch")
+        assert sig_other[0] == "nosuch"
+        info = batch_exec_info()
+        assert info["batch_sig_memo_misses"] == 2

@@ -127,8 +127,7 @@ def _reachable_values(root):
 
 
 def _reference_report(module):
-    profiler = CycleProfiler(sim_kernels="off", sim_batch="off",
-                             schedule_cache_size=0)
+    profiler = CycleProfiler(sim_kernels="off", schedule_cache_size=0)
     try:
         report = profiler.profile(module)
     except HLSCompilationError as exc:

@@ -263,7 +263,7 @@ class TestKernelCacheLifecycle:
         tc.engine.evaluate(benchmarks["adpcm"], [])
         info = tc.engine.cache_info()
         for key in ("kernel_entries", "kernel_hits", "kernel_misses",
-                    "kernel_fallbacks", "plan_entries"):
+                    "plan_entries"):
             assert key in info
         tc.engine.clear()
         cleared = tc.engine.cache_info()

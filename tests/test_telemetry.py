@@ -321,10 +321,8 @@ class TestInstrumentedStack:
         for name in ("engine.pass_apply.seconds", "engine.batch_size"):
             assert hists[name]["count"] > 0, name
             assert hists[name]["sum"] >= 0.0
-        # cache misses profile per sequence (sim_batch=off) or as one
-        # data-parallel wave (default) — either stage must show up
-        assert (hists.get("engine.profile.seconds", {}).get("count", 0) > 0
-                or hists.get("engine.profile_batch.seconds", {}).get("count", 0) > 0), hists
+        # the batch's cache misses profile as one wave
+        assert hists["engine.profile_batch.seconds"]["count"] > 0, hists
         assert snap["counters"]["engine.memo_misses"] > 0
         # kernel compile/execute split (sim kernels default on)
         assert any(n.startswith(("kernel.", "interp.")) for n in hists), hists
@@ -446,11 +444,9 @@ class TestServerOps:
             assert hists["server.op.batch.seconds"]["count"] >= 1
             assert hists["server.batch_size"]["count"] >= 1
             assert hists["worker.queue_wait.seconds"]["count"] >= 1
-            # worker misses evaluate per sequence (sim_batch=off) or as
-            # one batched wave (default)
-            evaluated = hists.get("engine.evaluate.seconds",
-                                  hists.get("engine.profile_batch.seconds"))
-            assert evaluated is not None and hist_summary(evaluated)["p50"] > 0
+            # the worker's misses evaluate as one batched wave
+            evaluated = hists["engine.profile_batch.seconds"]
+            assert hist_summary(evaluated)["p50"] > 0
         finally:
             request(socket_path, {"op": "shutdown"})
             thread.join(timeout=30)
@@ -563,9 +559,6 @@ class TestCLISurfaces:
         assert {"clone_module", "run_on_function"} <= seen and "profile" not in seen
         cycles, seen = functions("profile")
         assert cycles > 0 and "clone_module" not in seen
-        # a wave width only means something to the profile phase
-        assert main(["profile-hotspots", "gsm", "--batch-lanes", "4"]) == 2
-        assert "--phase profile" in capsys.readouterr().err
 
     def test_cache_stats_renders_hierarchy_table(self, tmp_path, capsys,
                                                  monkeypatch):
@@ -580,7 +573,6 @@ class TestCLISurfaces:
         table = render_cache_table({
             "memo_hits": 3, "memo_misses": 1,
             "kernel_hits": 8, "kernel_misses": 2, "kernel_entries": 2,
-            "kernel_fallbacks": 0,
         })
         assert "75.0%" in table and "80.0%" in table
         empty = render_cache_table({"memo_hits": 0, "memo_misses": 0})
