@@ -331,9 +331,17 @@ def _cmd_profile_hotspots(args) -> int:
         else:
             cycles = int(toolchain.engine.evaluate(module, seq))
         run.disable()
+    # what the engine did with the sequence: passes it ran, known no-ops
+    # it skipped, memo hits by effective key
+    info = toolchain.cache_info() if args.phase != "profile" else {}
+    engine_counts = {key: info[key] for key in
+                     ("passes_applied", "noop_skipped", "effective_hits")
+                     if key in info}
     print(f"{args.benchmark}: {'no' if cycles is None else cycles} cycles "
           f"after {len(seq)} passes (phase={args.phase}, "
-          f"sim_kernels={profiler.sim_kernels})")
+          f"sim_kernels={profiler.sim_kernels}"
+          + "".join(f", {key}={value}" for key, value in engine_counts.items())
+          + ")")
     stats = pstats.Stats(run, stream=sys.stdout)
     stats.sort_stats(args.sort).print_stats(args.top)
     if args.json:
@@ -352,7 +360,8 @@ def _cmd_profile_hotspots(args) -> int:
         payload = {"benchmark": args.benchmark, "cycles": cycles,
                    "phase": args.phase,
                    "passes": len(seq), "sim_kernels": profiler.sim_kernels,
-                   "sort": args.sort, "hotspots": rows[:args.top]}
+                   "sort": args.sort, "hotspots": rows[:args.top],
+                   **engine_counts}
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")

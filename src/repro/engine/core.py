@@ -1,9 +1,10 @@
 """The EvaluationEngine — the single evaluation primitive of the repro.
 
 Wraps an :class:`~repro.toolchain.HLSToolchain` with four cache layers
-(result memo, feature memo, prefix-trie snapshots, and — inside the
-profiler — incremental scheduling) plus a ``concurrent.futures`` batch
-API. See the package docstring for the cache-key/invalidation contract.
+(result memo, feature memo, no-op-aware prefix-trie snapshots, and —
+inside the profiler — incremental scheduling) plus a batch API that
+profiles a population's misses as one wave. See the package docstring
+for the cache-key/invalidation contract.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from ..ir.module import Module
 from ..passes import PassManager
 from ..passes.registry import TERMINATE_INDEX, pass_name_for_index
 from .memo import FAILED, FAILED_BUDGET, EngineStats, ResultMemo
-from .trie import NodeBudget, PrefixTrie, SnapshotLRU
+from .trie import NodeBudget, PrefixTrie, Resolution, SnapshotLRU
 
 __all__ = ["EvaluationEngine", "BatchEvaluationError", "canonicalize_sequence"]
 
@@ -88,13 +89,16 @@ def canonicalize_sequence(actions: Sequence[Action]) -> Tuple[Element, ...]:
     return tuple(out)
 
 
-class _ProgramState:
-    __slots__ = ("program", "trie")
+class _PendingProfile:
+    """One lane of a grouped wave: the module to profile, every memo key
+    its value answers and the batch rows waiting for it."""
 
-    def __init__(self, program: Module, lru: SnapshotLRU, min_visits: int,
-                 budget: NodeBudget) -> None:
-        self.program = program
-        self.trie = PrefixTrie(program, lru, min_visits, budget)
+    __slots__ = ("module", "keys", "rows")
+
+    def __init__(self, module: Module) -> None:
+        self.module = module
+        self.keys: List[Tuple] = []
+        self.rows: List[Tuple] = []
 
 
 class EvaluationEngine:
@@ -144,32 +148,180 @@ class EvaluationEngine:
         # snapshots; 64 nodes of bookkeeping per allowed snapshot keeps the
         # tries bounded without starving prefix tracking.
         self._node_budget = NodeBudget(max_trie_nodes * 64)
-        self._programs: Dict[int, _ProgramState] = {}
+        # id(program) -> its trie (which keeps the program, and so the
+        # id, alive)
+        self._programs: Dict[int, PrefixTrie] = {}
         self._pool: Optional[ThreadPoolExecutor] = None
         self._lock = threading.Lock()
 
     # -- program registry ---------------------------------------------------
-    def _state_for(self, program: Module) -> _ProgramState:
+    def _trie_for(self, program: Module) -> PrefixTrie:
         with self._lock:
-            state = self._programs.get(id(program))
-            if state is None:
-                state = _ProgramState(program, self._lru, self.snapshot_min_visits,
-                                      self._node_budget)
-                self._programs[id(program)] = state
-            return state
+            trie = self._programs.get(id(program))
+            if trie is None:
+                trie = self._programs[id(program)] = PrefixTrie(
+                    program, self._lru, self.snapshot_min_visits,
+                    self._node_budget)
+            return trie
 
-    @staticmethod
-    def _key(program: Module, canonical: Tuple[Element, ...], objective: str,
-             area_weight: float, entry: str) -> Tuple:
-        return (id(program), canonical, objective, area_weight, entry)
+    # -- the one lookup path ------------------------------------------------
+    def _count_lookup(self, hit: bool, effective: bool = False) -> None:
+        """The one place a result-memo hit or miss is counted — after
+        resolution, so ``cache_info()`` and telemetry agree on what an
+        effective-sequence hit is. Call with the lock held."""
+        if hit:
+            self.stats.memo_hits += 1
+            tm.count("engine.memo_hits")
+            if effective:
+                self.stats.effective_hits += 1
+                tm.count("engine.effective_hits")
+        else:
+            self.stats.memo_misses += 1
+            tm.count("engine.memo_misses")
+
+    def _memoize_failure(self, keys: Sequence[Tuple],
+                         exc: HLSCompilationError) -> None:
+        budget = isinstance(exc, StepBudgetError)
+        with self._lock:
+            for key in keys:
+                self._memo.put(key, FAILED_BUDGET if budget else FAILED)
+            if budget:
+                self.stats.budget_failures_memoized += 1
+            else:
+                self.stats.failures_memoized += 1
+
+    def _prepare(self, program: Module, canonical: Tuple[Element, ...],
+                 tail: Optional[Tuple], want_features: bool = False,
+                 want_module: bool = False, wave: Optional[Dict] = None
+                 ) -> Tuple[Optional[float], Optional[np.ndarray],
+                            Optional[Module], List[Tuple]]:
+        """Answer one query as far as the caches go; every entry point
+        but :meth:`evaluate_prepared` is a thin wrapper around this.
+
+        ``tail`` is ``(objective, area_weight, entry)``, or ``None`` when
+        no value is asked for. Lookups go raw canonical key first (a warm
+        query stops there), then — once the sequence is resolved through
+        the trie — the key of its effective sequence. A module is built
+        only for what is still missing after both: a value to profile,
+        features to extract, or the caller's private copy.
+
+        Returns ``(value, feats, module, keys)``. ``value is None`` means
+        the caller must profile ``module`` and memoize under every key in
+        ``keys``; with ``wave`` (the grouped batch path: effective key →
+        pending profile) it may be a sibling's pending profile instead.
+        Raises the :class:`HLSCompilationError` a memoized failure stands
+        for, or the one a pass raised."""
+        pid = id(program)
+        keys = [(pid, canonical) + tail] if tail else []
+        feats: Optional[np.ndarray] = None
+        module: Optional[Module] = None
+        if want_features and not canonical:
+            # Base programs handed to the engine are immutable: their
+            # features come straight off the shared (module, version) memo.
+            feats = features_for(program)
+            want_features = False
+        with tm.span("engine.memo_lookup"), self._lock:
+            value = self._memo.get(keys[0]) if tail else None
+            if want_features:
+                feats = self._feature_memo.get((pid, canonical))
+                self.stats.feature_hits += feats is not None
+            cold = value is not FAILED and value is not FAILED_BUDGET and (
+                want_module or (tail is not None and value is None)
+                or (want_features and feats is None))
+            if tail and not cold:
+                self._count_lookup(True)
+        if cold:
+            value, feats, module = self._prepare_cold(
+                program, canonical, tail, keys, value, feats, want_features,
+                want_module, wave)
+        if value is FAILED or value is FAILED_BUDGET:
+            raise _cached_failure(value, canonical)
+        return value, feats, module, keys
+
+    def _prepare_cold(self, program: Module, canonical: Tuple[Element, ...],
+                      tail: Optional[Tuple], keys: List[Tuple], value,
+                      feats: Optional[np.ndarray], want_features: bool,
+                      want_module: bool, wave: Optional[Dict]):
+        """:meth:`_prepare` past the raw keys: resolve the sequence, look
+        again under its effective sequence (appending that key to
+        ``keys``), build a module only if something is still unmet."""
+        pid = id(program)
+        module: Optional[Module] = None
+        effective_hit = False
+        trie = self._trie_for(program)
+        with self._lock:
+            res = trie.resolve(canonical)
+        try:
+            self._finish(trie, res)  # runs only what the trie cannot answer
+            effective = tuple(res.effective)
+            if tail and effective != canonical:
+                keys.append((pid, effective) + tail)
+            with self._lock:
+                if tail and value is None:
+                    value = self._memo.get(keys[-1])
+                    if value is None and wave is not None:
+                        value = wave.get(keys[-1])
+                    elif value is not None and len(keys) > 1:
+                        self._memo.put(keys[0], value)
+                    effective_hit = value is not None and len(keys) > 1
+                if want_features and feats is None:
+                    feats = self._feature_memo.get((pid, effective))
+                    if feats is not None:
+                        self.stats.feature_hits += 1
+                        self._feature_memo.put((pid, canonical), feats)
+            if value is not FAILED and value is not FAILED_BUDGET and (
+                    want_module or (tail is not None and value is None)
+                    or (want_features and feats is None)):
+                module = self._materialize(trie, res, want_module)
+            else:  # whatever _finish left in hand, the leaf may keep
+                self._admit_leaf(trie, res)
+        except HLSCompilationError as exc:
+            if keys:
+                self._memoize_failure(keys, exc)
+            raise
+        finally:
+            if res.skipped:
+                with self._lock:
+                    self.stats.noop_skipped += res.skipped
+                tm.count("engine.noop_skipped", res.skipped)
+        if want_features and feats is None and module is not None:
+            # Memoized before the profile attempt, so even a sequence
+            # that fails HLS compilation leaves its features behind
+            # for a later sample-free features_after.
+            feats = features_for(module)
+            with self._lock:
+                self.stats.feature_misses += 1
+                self._feature_memo.put((pid, canonical), feats)
+                self._feature_memo.put((pid, effective), feats)
+        if tail:
+            with self._lock:
+                self._count_lookup(value is not None, effective_hit)
+        return value, feats, module
+
+    def _profile(self, module: Module, keys: Sequence[Tuple], objective: str,
+                 area_weight: float, entry: str) -> float:
+        """One simulator sample; value or failure memoized under ``keys``."""
+        try:
+            with tm.span("engine.profile", objective=objective):
+                value = self.toolchain.objective_value(module, objective,
+                                                       area_weight=area_weight,
+                                                       entry=entry)
+        except HLSCompilationError as exc:
+            self._memoize_failure(keys, exc)
+            raise
+        with self._lock:
+            for key in keys:
+                self._memo.put(key, value)
+        return value
 
     # -- single evaluation --------------------------------------------------
     def evaluate(self, program: Module, actions: Sequence[Action],
                  objective: str = "cycles", area_weight: float = 0.05,
                  entry: str = "main") -> float:
-        """Objective value of ``program`` after ``actions``. Memo hits do
-        not touch the toolchain (no simulator sample); misses clone from
-        the deepest cached prefix and pay only the suffix."""
+        """Objective value of ``program`` after ``actions``. Memo hits —
+        by the sequence as given or by its effective sequence — do not
+        touch the toolchain (no simulator sample); misses clone from the
+        deepest cached state and run only what the trie cannot answer."""
         with tm.span("engine.evaluate"):
             value, _, _ = self._evaluate(program, actions, objective,
                                          area_weight, entry, want_module=False)
@@ -184,150 +336,80 @@ class EvaluationEngine:
                                           area_weight, entry, want_module=True)
         return value, module
 
-    def _memoize_failure(self, key: Tuple, exc: HLSCompilationError) -> None:
-        with self._lock:
-            if isinstance(exc, StepBudgetError):
-                self._memo.put(key, FAILED_BUDGET)
-                self.stats.budget_failures_memoized += 1
-            else:
-                self._memo.put(key, FAILED)
-                self.stats.failures_memoized += 1
-
     def _evaluate(self, program: Module, actions: Sequence[Action],
                   objective: str, area_weight: float, entry: str,
                   want_module: bool, want_features: bool = False
                   ) -> Tuple[float, Optional[Module], Optional[np.ndarray]]:
-        canonical = canonicalize_sequence(actions)
-        key = self._key(program, canonical, objective, area_weight, entry)
-        feats: Optional[np.ndarray] = None
-        with tm.span("engine.memo_lookup"), self._lock:
-            cached = self._memo.get(key)
-            if cached is not None:
-                self.stats.memo_hits += 1
-            if want_features and canonical:
-                feats = self._feature_memo.get((id(program), canonical))
-                if feats is not None:
-                    self.stats.feature_hits += 1
-        tm.count("engine.memo_hits" if cached is not None
-                 else "engine.memo_misses")
-        if want_features and not canonical:
-            # Base programs handed to the engine are immutable: their
-            # features come straight off the shared (module, version) memo.
-            feats = features_for(program)
-        failure = _cached_failure(cached, canonical)
-        if failure is not None:
-            raise failure
-        if cached is not None and not want_module and \
-                (not want_features or feats is not None):
-            return cached, None, feats
-
-        state = self._state_for(program)
-        try:
-            module = self._materialize(state, canonical, private=want_module)
-        except HLSCompilationError as exc:
-            self._memoize_failure(key, exc)
-            raise
-        if want_features and feats is None:
-            # Memoized before the profile attempt, so even a sequence
-            # that fails HLS compilation leaves its features behind for
-            # a later sample-free features_after.
-            feats = self._memoize_features(program, canonical, module)
-        if cached is not None:
-            return cached, module, feats
-
-        with self._lock:
-            self.stats.memo_misses += 1
-        try:
-            with tm.span("engine.profile", objective=objective):
-                value = self.toolchain.objective_value(module, objective,
-                                                       area_weight=area_weight,
-                                                       entry=entry)
-        except HLSCompilationError as exc:
-            self._memoize_failure(key, exc)
-            raise
-        with self._lock:
-            self._memo.put(key, value)
+        value, feats, module, keys = self._prepare(
+            program, canonicalize_sequence(actions),
+            (objective, area_weight, entry), want_features, want_module)
+        if value is None:
+            value = self._profile(module, keys, objective, area_weight, entry)
         return value, module, feats
 
     def evaluate_prepared(self, program: Module, actions: Sequence[Action],
                           module: Module, objective: str = "cycles",
-                          area_weight: float = 0.05, entry: str = "main") -> float:
+                          area_weight: float = 0.05, entry: str = "main",
+                          changed: Optional[bool] = None) -> float:
         """Evaluate a module the caller already optimized to ``actions``
         (the incremental RL-environment path: the env applies one pass per
         step to its own working module, so the engine must not re-apply the
         sequence). Memo hits skip profiling; either way the trie learns the
-        prefix so black-box searches can reuse RL-explored sequences."""
+        path so black-box searches can reuse RL-explored sequences.
+
+        ``changed`` is what the pass manager returned for the *last* pass
+        of ``actions`` (:meth:`HLSToolchain.apply_passes` hands it back):
+        with it the trie records a no-op as a no-op and this path takes
+        exactly the samples :meth:`evaluate` takes for the same queries.
+        ``None``: a finished module cannot tell, so every pass the trie
+        knows nothing about is assumed to have changed it — the sequence
+        keeps its raw key until a real run says otherwise."""
         canonical = canonicalize_sequence(actions)
-        key = self._key(program, canonical, objective, area_weight, entry)
-        state = self._state_for(program)
+        pid, tail = id(program), (objective, area_weight, entry)
+        keys = [(pid, canonical) + tail]
+        trie = self._trie_for(program)
+        told = changed is not None and bool(canonical)
         with self._lock:
-            path = state.trie.walk(canonical)
-            # only the *full-sequence* node may take this module as its
-            # snapshot (the walk can stop short on node-budget exhaustion)
-            node = path[-1] if path and len(path) == len(canonical) else None
-            want_snap = node is not None and state.trie.want_snapshot(node)
-            cached = self._memo.get(key)
-            if cached is not None and cached is not FAILED and \
-                    cached is not FAILED_BUDGET:
-                self.stats.memo_hits += 1
-        if want_snap:
-            snapshot = clone_module(module)
-            with self._lock:
-                if state.trie.store_snapshot(node, snapshot):
-                    self.stats.snapshots_stored += 1
-        failure = _cached_failure(cached, canonical)
+            res = trie.resolve(canonical[:-1] if told else canonical,
+                               assume=True)
+            if told and res.tracked:
+                trie.advance(res, canonical[-1], changed)
+            # untracked (the node budget ran out on the way): raw key only
+            effective = tuple(res.effective) if res.tracked else canonical
+            if effective != canonical:
+                keys.append((pid, effective) + tail)
+            value = self._memo.get(keys[0])
+            effective_hit = False
+            if value is None and len(keys) > 1:
+                value = self._memo.get(keys[1])
+                effective_hit = value is not None
+                if effective_hit:
+                    self._memo.put(keys[0], value)
+            self._count_lookup(value is not None, effective_hit)
+        if res.tracked and res.nodes:
+            self._store_snapshot(trie, res.nodes[-1], module, copy=True)
+        failure = _cached_failure(value, canonical)
         if failure is not None:
             raise failure
-        if cached is not None:
-            return cached
-        with self._lock:
-            self.stats.memo_misses += 1
-        try:
-            with tm.span("engine.profile", objective=objective):
-                value = self.toolchain.objective_value(module, objective,
-                                                       area_weight=area_weight,
-                                                       entry=entry)
-        except HLSCompilationError as exc:
-            self._memoize_failure(key, exc)
-            raise
-        with self._lock:
-            self._memo.put(key, value)
+        if value is None:
+            value = self._profile(module, keys, objective, area_weight, entry)
         return value
 
     # -- feature queries ------------------------------------------------------
-    def _memoize_features(self, program: Module, canonical: Tuple[Element, ...],
-                          module: Module) -> np.ndarray:
-        feats = features_for(module)
-        with self._lock:
-            self.stats.feature_misses += 1
-            self._feature_memo.put((id(program), canonical), feats)
-        return feats
-
     def features_after(self, program: Module,
                        actions: Sequence[Action] = ()) -> np.ndarray:
         """The 56-feature vector of ``program`` after ``actions`` —
         AutoPhase's observation function as an engine query. Memo hits
-        (any sequence whose features were computed before, including by a
-        failed evaluation) answer without materializing a module; misses
-        clone from the deepest cached prefix, compose the vector from
-        per-function cached contributions, and memoize it next to the
-        cycle results. Never profiles, never costs a simulator sample.
+        (any sequence whose features, or whose effective sequence's
+        features, were computed before, including by a failed evaluation)
+        answer without materializing a module; misses clone from the
+        deepest cached state, compose the vector from per-function cached
+        contributions, and memoize it next to the cycle results. Never
+        profiles, never costs a simulator sample.
         The returned array is read-only — copy before mutating."""
         with tm.span("engine.features_after"):
-            canonical = canonicalize_sequence(actions)
-            if not canonical:
-                # Base programs handed to the engine are immutable, so their
-                # features come straight off the shared (module, version) memo.
-                return features_for(program)
-            with self._lock:
-                cached = self._feature_memo.get((id(program), canonical))
-                if cached is not None:
-                    self.stats.feature_hits += 1
-            if cached is not None:
-                return cached
-            module = self._materialize(self._state_for(program), canonical,
-                                       private=False)
-            return self._memoize_features(program, canonical, module)
+            return self._prepare(program, canonicalize_sequence(actions),
+                                 None, want_features=True)[1]
 
     def evaluate_with_features(self, program: Module, actions: Sequence[Action],
                                objective: str = "cycles",
@@ -352,8 +434,8 @@ class EvaluationEngine:
                List[Tuple[Optional[float], np.ndarray]]]:
         """Score a whole population. Returns one value per input sequence,
         ``None`` where the sequence fails HLS compilation (callers apply
-        their own penalty). Duplicate sequences are evaluated once; cache
-        misses run on a persistent thread pool.
+        their own penalty). Duplicate sequences are evaluated once, and
+        so are sequences that differ only in passes that did nothing.
 
         With ``want_features=True`` every row becomes a ``(value,
         features)`` pair — the vectorized feature-observation path —
@@ -361,12 +443,17 @@ class EvaluationEngine:
         even when profiling fails, so failing rows come back as
         ``(None, features)``).
 
-        Results are identical at any worker count. Worker threads trade
-        some duplicated work on *cold* shared prefixes (two concurrent
-        misses may each apply a prefix the trie would let sequential
-        evaluation share) for an asynchronous API; the simulator is pure
-        Python, so set ``REPRO_ENGINE_WORKERS=1`` for strictly minimal
-        work on a GIL-bound build."""
+        The cycle objectives take the grouped path: lookups and
+        materialization run per sequence, in order, exactly as
+        :meth:`evaluate` would, and every module that still needs the
+        simulator is profiled in ONE ``objective_values_batch`` wave —
+        same values, same samples as the serial loop. Only an objective
+        without a batched form (``area``) falls back to per-sequence
+        evaluation on a persistent thread pool; results are identical at
+        any worker count, but concurrent misses may each apply a cold
+        prefix sequential evaluation would share (the simulator is pure
+        Python, so ``REPRO_ENGINE_WORKERS=1`` is the minimal-work setting
+        on a GIL-bound build)."""
         self.stats.batches += 1
         tm.observe("engine.batch_size", len(sequences))
         keyed = [canonicalize_sequence(seq) for seq in sequences]
@@ -383,12 +470,7 @@ class EvaluationEngine:
                 return self.evaluate(program, canonical, objective=objective,
                                      area_weight=area_weight, entry=entry)
             except HLSCompilationError:
-                if not want_features:
-                    return None
-                try:
-                    return (None, self.features_after(program, canonical))
-                except Exception as exc:
-                    return BatchEvaluationError(canonical, exc)
+                return self._failed_row(program, canonical, want_features)
             except Exception as exc:
                 # Surface worker crashes with the offending sequence
                 # attached (a bare pool traceback is indistinguishable
@@ -430,6 +512,16 @@ class EvaluationEngine:
                 raise value from value.original
         return [unique[canonical] for canonical in keyed]
 
+    def _failed_row(self, program: Module, canonical: Tuple[Element, ...],
+                    want_features: bool):
+        """The batch row of a sequence that fails HLS compilation."""
+        if not want_features:
+            return None
+        try:
+            return (None, self.features_after(program, canonical))
+        except Exception as exc:
+            return BatchEvaluationError(canonical, exc)
+
     def _use_grouped(self, objective: str) -> bool:
         """Whether cache misses of a batch are profiled as one wave
         (the objective has a batched form; ``profile_batch`` decides how
@@ -447,78 +539,52 @@ class EvaluationEngine:
         (same statistics, same failure memoization), then every module
         that actually needs the simulator is profiled as ONE
         ``objective_values_batch`` wave, which schedules each structural
-        hash once and executes each distinct execution signature once."""
-        state = self._state_for(program)
-        to_profile: List[Tuple] = []  # (canonical, key, module, feats)
+        hash once and executes each distinct execution signature once.
+        Siblings that resolve to one effective sequence share one lane —
+        whichever comes first carries the module, the rest wait for its
+        value, as they would have hit its memo entry in a serial loop."""
+        tail = (objective, area_weight, entry)
+        wave: Dict[Tuple, _PendingProfile] = {}  # effective key -> lane
         for canonical in pending:
-            key = self._key(program, canonical, objective, area_weight, entry)
-            feats: Optional[np.ndarray] = None
-            with tm.span("engine.memo_lookup"), self._lock:
-                cached = self._memo.get(key)
-                if cached is not None:
-                    self.stats.memo_hits += 1
-                if want_features and canonical:
-                    feats = self._feature_memo.get((id(program), canonical))
-                    if feats is not None:
-                        self.stats.feature_hits += 1
-            tm.count("engine.memo_hits" if cached is not None
-                     else "engine.memo_misses")
-            if want_features and not canonical:
-                feats = features_for(program)
-            failure = _cached_failure(cached, canonical)
-            if failure is not None:
-                if not want_features:
-                    unique[canonical] = None
-                    continue
-                if feats is None:
-                    try:
-                        feats = self.features_after(program, canonical)
-                    except Exception as exc:
-                        unique[canonical] = BatchEvaluationError(canonical, exc)
-                        continue
-                unique[canonical] = (None, feats)
-                continue
-            if cached is not None and (not want_features or feats is not None):
-                unique[canonical] = (cached, feats) if want_features else cached
-                continue
             try:
-                module = self._materialize(state, canonical, private=False)
-            except HLSCompilationError as exc:
-                self._memoize_failure(key, exc)
-                if want_features:
-                    unique[canonical] = BatchEvaluationError(canonical, exc)
-                else:
-                    unique[canonical] = None
+                value, feats, module, keys = self._prepare(
+                    program, canonical, tail, want_features, wave=wave)
+            except HLSCompilationError:
+                unique[canonical] = self._failed_row(program, canonical,
+                                                     want_features)
                 continue
             except Exception as exc:
                 unique[canonical] = BatchEvaluationError(canonical, exc)
                 continue
-            if want_features and feats is None:
-                feats = self._memoize_features(program, canonical, module)
-            if cached is not None:
-                unique[canonical] = (cached, feats) if want_features else cached
-                continue
-            with self._lock:
-                self.stats.memo_misses += 1
-            to_profile.append((canonical, key, module, feats))
-
-        if not to_profile:
-            return
-        modules = [item[2] for item in to_profile]
-        with tm.span("engine.profile_batch", objective=objective,
-                     size=len(modules)):
-            values = self.toolchain.objective_values_batch(
-                modules, objective, area_weight=area_weight, entry=entry)
-        for (canonical, key, module, feats), value in zip(to_profile, values):
-            if isinstance(value, HLSCompilationError):
-                self._memoize_failure(key, value)
-                unique[canonical] = (None, feats) if want_features else None
-            elif isinstance(value, BaseException):
-                unique[canonical] = BatchEvaluationError(canonical, value)
+            if value is None:
+                value = wave[keys[-1]] = _PendingProfile(module)
+            if isinstance(value, _PendingProfile):
+                value.keys.extend(k for k in keys if k not in value.keys)
+                value.rows.append((canonical, feats))
             else:
-                with self._lock:
-                    self._memo.put(key, value)
                 unique[canonical] = (value, feats) if want_features else value
+
+        if not wave:
+            return
+        lanes = list(wave.values())
+        with tm.span("engine.profile_batch", objective=objective,
+                     size=len(lanes)):
+            values = self.toolchain.objective_values_batch(
+                [lane.module for lane in lanes], objective,
+                area_weight=area_weight, entry=entry)
+        for lane, value in zip(lanes, values):
+            if isinstance(value, HLSCompilationError):
+                self._memoize_failure(lane.keys, value)
+                value = None
+            elif not isinstance(value, BaseException):
+                with self._lock:
+                    for key in lane.keys:
+                        self._memo.put(key, value)
+            for canonical, feats in lane.rows:
+                if isinstance(value, BaseException):
+                    unique[canonical] = BatchEvaluationError(canonical, value)
+                else:
+                    unique[canonical] = (value, feats) if want_features else value
 
     def memoized_failure(self, program: Module, actions: Sequence[Action],
                          objective: str = "cycles", area_weight: float = 0.05,
@@ -529,76 +595,130 @@ class EvaluationEngine:
         not memoized as failing. Lets batch callers (which receive bare
         ``None`` rows) recover which kind of failure was recorded."""
         canonical = canonicalize_sequence(actions)
-        key = self._key(program, canonical, objective, area_weight, entry)
         with self._lock:
-            cached = self._memo.get(key)
+            cached = self._memo.get((id(program), canonical, objective,
+                                     area_weight, entry))
         return _cached_failure(cached, canonical)
 
     # -- materialization ----------------------------------------------------
     def materialize(self, program: Module, actions: Sequence[Action]) -> Module:
         """A fresh module equal to ``program`` with ``actions`` applied,
-        built from the deepest cached prefix (no profiling, no sample).
+        built from the deepest cached state (no profiling, no sample).
         The caller owns it and may mutate it freely."""
-        return self._materialize(self._state_for(program),
-                                 canonicalize_sequence(actions), private=True)
+        return self._prepare(program, canonicalize_sequence(actions), None,
+                             want_module=True)[2]
 
-    def _materialize(self, state: _ProgramState,
-                     canonical: Tuple[Element, ...], private: bool) -> Module:
-        """``private=True``: a copy the caller owns (it leaves the
-        engine). ``private=False``: a module for the engine's own
-        read-only use (profiling, feature extraction) — it may *be* a
-        trie snapshot, or become one, and must never be mutated."""
-        with tm.span("engine.materialize", depth=len(canonical)):
-            return self._materialize_inner(state, canonical, private)
+    def _materialize(self, trie: PrefixTrie, res: Resolution,
+                     private: bool) -> Module:
+        """The module ``res``'s sequence leads to. ``private=True``: a
+        copy the caller owns (it leaves the engine). ``private=False``:
+        a module for the engine's own read-only use (profiling, feature
+        extraction) — it may *be* a trie snapshot, or become one, and
+        must never be mutated."""
+        with tm.span("engine.materialize", depth=len(res.effective)):
+            module = None
+            while module is None:  # again only after a retracted edge
+                self._finish(trie, res)
+                module = self._realize(trie, res, leaf=True, private=private)
+            return module
 
-    def _materialize_inner(self, state: _ProgramState,
-                           canonical: Tuple[Element, ...],
-                           private: bool) -> Module:
-        trie = state.trie
-        last = len(canonical)
+    def _finish(self, trie: PrefixTrie, res: Resolution) -> None:
+        """Resolve what the trie could not answer: while an unknown
+        ``(node, pass)`` pair is left, build the module at that node, run
+        the one pass, record its verdict and walk on. A pass that did
+        nothing hands the walk back to the trie — whatever follows may be
+        known again, and then costs nothing; a pass that changed the
+        module opened a state nothing is known below, so the module stays
+        in hand from pass to pass. Afterwards ``res.effective`` is final."""
+        if not res.rest:
+            return
+        with tm.span("engine.materialize", depth=len(res.rest)):
+            while res.rest:
+                module = self._realize(trie, res)
+                if module is not None:
+                    element, rest = res.rest[0], res.rest[1:]
+                    changed = self._apply(module, element)
+                    with self._lock:
+                        trie.advance(res, element, changed)
+                        res.hold(module)
+                        trie.resolve(rest, res=res)
+
+    def _apply(self, module: Module, element: Element) -> bool:
+        name = pass_name_for_index(element) if isinstance(element, int) else element
+        with tm.span("engine.pass_apply"):
+            changed = PassManager().run(module, [name])
         with self._lock:
-            depth, source = trie.deepest_snapshot(canonical)
-            path = trie.walk(canonical)
-            if depth > 0:
-                self.stats.trie_hits += 1
-                self.stats.passes_saved += depth
-            # The deepest prefix other evaluations have walked too is the
-            # divergence frontier — for population-based searches it is
-            # exactly the shared parent prefix, so that is where a
-            # snapshot earns its clone. Below it, stride points bound the
-            # reapply distance; beyond it the path is (so far) private.
-            shared_depth = 0
-            for i, node in enumerate(path):
-                if node.visits >= self.snapshot_min_visits:
-                    shared_depth = i + 1
-        if depth == last and not private:
-            return source  # profiling and extraction only read it
-        module = clone_module(source)
-        pm = PassManager()
-        for i in range(depth, last):
-            element = canonical[i]
-            name = pass_name_for_index(element) if isinstance(element, int) else element
-            with tm.span("engine.pass_apply"):
-                pm.run(module, [name])
-            d = i + 1
-            on_grid = d == shared_depth or (d < shared_depth and d % self.snapshot_stride == 0)
-            # The finished module of a read-only materialization is its
-            # own leaf snapshot: when the visit rule promotes the leaf
-            # (``snapshot_min_visits=1`` promotes it at once — the RL /
-            # inference chain then costs one clone and one pass a step)
-            # the very object is installed, not a copy of it.
-            own_leaf = d == last and not private
-            with self._lock:
-                self.stats.passes_applied += 1
-                node = path[i] if i < len(path) else None  # budget-truncated walk
-                want_snap = node is not None and on_grid and trie.want_snapshot(node)
-            if want_snap:
-                snapshot = module if own_leaf else clone_module(module)
+            self.stats.passes_applied += 1
+        return changed
+
+    def _realize(self, trie: PrefixTrie, res: Resolution, leaf: bool = False,
+                 private: bool = False) -> Optional[Module]:
+        """A module in the state ``res``'s known path ends in: the one in
+        hand, or a copy of the deepest snapshot, with the known edges
+        below it re-applied. ``leaf``: that state is the sequence's last,
+        so unless ``private`` the module is only going to be read — a
+        snapshot may be returned as it is, and a module built here may
+        become one. ``None`` when a re-applied edge did nothing and was
+        retracted: ``res`` changed, ask again."""
+        effective = res.effective
+        if not res.owned:
+            if res.depth > 0:
                 with self._lock:
-                    if trie.store_snapshot(node, snapshot):
-                        self.stats.snapshots_stored += 1
-                        self.stats.snapshots_zero_copy += own_leaf
+                    self.stats.trie_hits += 1
+                    self.stats.passes_saved += res.depth
+            if leaf and not private and res.depth == len(effective):
+                return res.source  # profiling and extraction only read it
+            res.source, res.owned = clone_module(res.source), True
+        module = res.source
+        while res.depth < len(effective):
+            self._snapshot_on_grid(trie, res, module)
+            changed = self._apply(module, effective[res.depth])
+            res.depth += changed
+            if not changed:
+                with self._lock:
+                    trie.retract(res, res.depth)
+                    trie.resolve(res.rest, res=res)
+                return None
+        if leaf:
+            self._admit_leaf(trie, res, copy=private)
+        else:
+            self._snapshot_on_grid(trie, res, module)
         return module
+
+    def _snapshot_on_grid(self, trie: PrefixTrie, res: Resolution,
+                          module: Module) -> None:
+        """``module`` is about to leave the state at ``res.depth``: keep
+        a copy there if the state has earned one. The deepest state other
+        evaluations have walked too is the divergence frontier — for
+        population-based searches it is exactly the shared parent — so
+        that is where a snapshot earns its clone; above it, stride points
+        bound the reapply distance; beyond it the path is (so far)
+        private."""
+        d = res.depth
+        if 0 < d <= len(res.nodes) \
+                and (d == res.shared or d % self.snapshot_stride == 0):
+            self._store_snapshot(trie, res.nodes[d - 1], module, copy=True)
+
+    def _admit_leaf(self, trie: PrefixTrie, res: Resolution,
+                    copy: bool = False) -> None:
+        """The module in hand is in the sequence's last state: when the
+        visit rule promotes that state (``snapshot_min_visits=1`` promotes
+        every leaf at once — an RL / inference chain then costs one clone
+        and one pass a step) the very object is installed, not a copy of
+        it, unless the caller is about to own it."""
+        if res.owned and res.tracked and 0 < res.depth == len(res.nodes):
+            self._store_snapshot(trie, res.nodes[-1], res.source, copy)
+
+    def _store_snapshot(self, trie: PrefixTrie, node, module: Module,
+                        copy: bool) -> None:
+        with self._lock:
+            if not trie.want_snapshot(node):
+                return
+        snapshot = clone_module(module) if copy else module
+        with self._lock:
+            if trie.store_snapshot(node, snapshot):
+                self.stats.snapshots_stored += 1
+                self.stats.snapshots_zero_copy += not copy
 
     # -- introspection ------------------------------------------------------
     def cache_info(self) -> Dict[str, int]:

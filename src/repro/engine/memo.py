@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, Tuple
 
 __all__ = ["EngineStats", "ResultMemo", "FAILED", "FAILED_BUDGET"]
@@ -23,11 +23,13 @@ FAILED_BUDGET = object()
 class EngineStats:
     """Cache-hit accounting, reported alongside ``samples_taken``."""
 
-    memo_hits: int = 0
+    memo_hits: int = 0            # by raw or by effective key: no sample taken
     memo_misses: int = 0
+    effective_hits: int = 0       # of memo_hits: found under the effective key
     trie_hits: int = 0            # evaluations that cloned a non-root snapshot
-    passes_saved: int = 0         # prefix passes skipped thanks to the trie
-    passes_applied: int = 0       # suffix passes actually run
+    passes_saved: int = 0         # effective prefix passes a snapshot replaced
+    passes_applied: int = 0       # passes actually run
+    noop_skipped: int = 0         # passes not run: known no-ops at their state
     snapshots_stored: int = 0
     snapshots_zero_copy: int = 0  # of those: the evaluated module itself, no clone
     failures_memoized: int = 0
@@ -37,20 +39,7 @@ class EngineStats:
     feature_misses: int = 0       # feature queries that composed a vector
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "memo_hits": self.memo_hits,
-            "memo_misses": self.memo_misses,
-            "trie_hits": self.trie_hits,
-            "passes_saved": self.passes_saved,
-            "passes_applied": self.passes_applied,
-            "snapshots_stored": self.snapshots_stored,
-            "snapshots_zero_copy": self.snapshots_zero_copy,
-            "failures_memoized": self.failures_memoized,
-            "budget_failures_memoized": self.budget_failures_memoized,
-            "batches": self.batches,
-            "feature_hits": self.feature_hits,
-            "feature_misses": self.feature_misses,
-        }
+        return asdict(self)
 
     @property
     def hit_rate(self) -> float:

@@ -24,7 +24,19 @@ class Pass:
     name: str = "<abstract>"
 
     def run(self, module: Module) -> bool:
-        """Apply to ``module`` in place; return True if anything changed."""
+        """Apply to ``module`` in place; return True if anything changed.
+
+        The return value is a contract, not a hint: ``False`` promises
+        the module is *exactly* as it was — instructions, operands and
+        their order, blocks, function attributes and linkage, globals
+        and their initializers, and module/function/instruction
+        ``metadata`` (which the printer does not show). The evaluation
+        engine keys results and features by the sequence with such
+        passes dropped (``engine/trie.py``), so a pass that mutates and
+        still says ``False`` becomes a stale cache hit. When unsure,
+        return ``True``: that only costs a cache miss.
+        ``tests/test_pass_changed_contract.py`` pins this for every
+        registry pass."""
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -74,12 +86,19 @@ class PassManager:
         self.applied: List[str] = []
 
     def run(self, module: Module, passes: Sequence[Union[str, Pass]]) -> bool:
+        """Run ``passes`` in order; True if any of them changed ``module``
+        (``False`` carries :meth:`Pass.run`'s promise for all of them)."""
         changed = False
         for item in passes:
             p = create_pass(item) if isinstance(item, str) else item
             changed |= bool(p.run(module))
             # Conservatively bump the mutation counter even for no-op runs:
             # module-keyed memos must never survive an untracked mutation.
+            # This stays unconditional although the engine now trusts
+            # ``changed`` (see Pass.run): the two fail in opposite
+            # directions — a needless bump re-derives a memo, a wrongly
+            # trusted ``False`` serves a stale result — and the version
+            # guards in-place mutation by any caller, the trie only its own.
             module.version += 1
             self.applied.append(p.name)
             if self.verify_each:

@@ -191,19 +191,21 @@ class PhaseOrderEnv:
         return n_features + NUM_ACTIONS
 
     # -- gym protocol ------------------------------------------------------------
-    def _measure(self) -> float:
+    def _measure(self, changed: Optional[bool] = None) -> float:
         """Objective value of the working module. Engine-backed: the env
         applies passes incrementally to its own module, so the engine is
         handed the already-optimized module (``evaluate_prepared``) — a
-        memo hit (a sequence any episode explored before) answers without
-        burning a simulator sample."""
+        memo hit (a sequence any episode explored before, or one that
+        differs from it only by passes that did nothing — ``changed`` is
+        the last pass's verdict) answers without burning a simulator
+        sample."""
         assert self.module is not None
         self.evaluations += 1
         engine = self.toolchain.engine
         if engine is not None:
             return engine.evaluate_prepared(
                 self.programs[self._program_index], tuple(self.applied),
-                self.module, objective=self.objective)
+                self.module, objective=self.objective, changed=changed)
         return self.toolchain.objective_value(self.module, self.objective)
 
     def reset(self, program_index: Optional[int] = None) -> np.ndarray:
@@ -232,8 +234,8 @@ class PhaseOrderEnv:
         self.applied.append(pass_index)
         self.histogram[pass_index] += 1
         try:
-            self.toolchain.apply_passes(self.module, [pass_index])
-            cycles = self._measure()
+            cycles = self._measure(
+                self.toolchain.apply_passes(self.module, [pass_index]))
         except HLSCompilationError:
             # The sequence broke HLS compilation (e.g. blew the step
             # budget): strongly negative signal, episode over.

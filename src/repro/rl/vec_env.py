@@ -73,14 +73,16 @@ Query = Tuple["_Lane", tuple]
 class _Lane:
     """One episode lane's private state (single- or multi-action)."""
 
-    __slots__ = ("rng", "program_index", "module", "features", "histogram",
-                 "applied", "indices", "steps", "prev_cycles",
+    __slots__ = ("rng", "program_index", "module", "changed", "features",
+                 "histogram", "applied", "indices", "steps", "prev_cycles",
                  "initial_cycles", "best_cycles", "best_sequence")
 
     def __init__(self, rng: np.random.Generator) -> None:
         self.rng = rng
         self.program_index = 0
         self.module = None
+        # module path: whether the last applied pass changed ``module``
+        self.changed: Optional[bool] = None
         # raw feature vector of the lane's current state on the
         # sequence-space path (the module-free feature observation)
         self.features: Optional[np.ndarray] = None
@@ -231,7 +233,8 @@ class VectorEnv:
             if engine is not None:
                 return engine.evaluate_prepared(
                     self.programs[lane.program_index], sequence,
-                    lane.module, objective=self.objective)
+                    lane.module, objective=self.objective,
+                    changed=lane.changed)
             return self.toolchain.objective_value(lane.module, self.objective)
         except HLSCompilationError:
             return None
@@ -347,7 +350,8 @@ class VectorEnv:
             lane.histogram[pass_index] += 1
             if self.needs_module or self.toolchain.engine is None:
                 try:
-                    self.toolchain.apply_passes(lane.module, [pass_index])
+                    lane.changed = self.toolchain.apply_passes(
+                        lane.module, [pass_index])
                 except HLSCompilationError:
                     results[lane_id] = self._failure(lane)
                     continue

@@ -723,7 +723,8 @@ class EvaluationClient:
 
     def evaluate_prepared(self, program: Module, actions: Sequence[Action],
                           module: Module, objective: str = "cycles",
-                          area_weight: float = 0.05, entry: str = "main") -> float:
+                          area_weight: float = 0.05, entry: str = "main",
+                          changed: Optional[bool] = None) -> float:
         canonical = canonicalize_sequence(actions)
         key = make_key(objective, area_weight, entry, canonical)
         prog = self._ensure_program(program)
@@ -740,7 +741,7 @@ class EvaluationClient:
             value = self.local.evaluate_prepared(program, canonical, module,
                                                  objective=objective,
                                                  area_weight=area_weight,
-                                                 entry=entry)
+                                                 entry=entry, changed=changed)
         except HLSCompilationError as exc:
             self._persist(prog, key,
                           FAILED_BUDGET if isinstance(exc, StepBudgetError)

@@ -170,10 +170,18 @@ def render_cache_table(info: Dict[str, Any]) -> str:
         rows.append((label, hits, misses, rate, always))
 
     add("engine result memo", info.get("memo_hits"), info.get("memo_misses"))
+    if info.get("effective_hits"):
+        # of the hits above: found under the effective-sequence key
+        # ("misses" = hits under the key as given)
+        add("  of which by effective sequence", info["effective_hits"],
+            int(info.get("memo_hits") or 0) - info["effective_hits"])
     add("engine feature memo", info.get("feature_hits"),
         info.get("feature_misses"))
     # trie "rate" = prefix passes skipped / passes considered
     add("prefix trie (passes saved)", info.get("passes_saved"),
+        info.get("passes_applied"))
+    # "rate" = passes not run as known no-ops / passes considered
+    add("prefix trie (no-ops skipped)", info.get("noop_skipped"),
         info.get("passes_applied"))
     add("persistent store", info.get("persistent_hits"),
         info.get("dispatched_requests"))

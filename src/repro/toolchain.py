@@ -132,23 +132,27 @@ class HLSToolchain:
 
     # -- pass application ---------------------------------------------------
     @staticmethod
-    def apply_passes(module: Module, actions: Sequence[Union[int, str]]) -> Module:
-        """Apply a pass sequence in place (indices or Table-1 names).
+    def apply_passes(module: Module, actions: Sequence[Union[int, str]]) -> bool:
+        """Apply a pass sequence in place (indices or Table-1 names) and
+        return what the pass manager reported: ``True`` if any pass
+        changed the module. ``False`` means the module is exactly as it
+        was — hand it to ``engine.evaluate_prepared(..., changed=...)``
+        so a step that did nothing is not sampled again.
 
         A ``-terminate`` action ends the sequence early, mirroring the RL
         environment's semantics.
         """
         pm = PassManager()
+        changed = False
         for action in actions:
             if isinstance(action, int):
                 if action == TERMINATE_INDEX:
                     break
-                pm.run(module, [pass_name_for_index(action)])
-            else:
-                if action == "-terminate":
-                    break
-                pm.run(module, [action])
-        return module
+                action = pass_name_for_index(action)
+            elif action == "-terminate":
+                break
+            changed |= pm.run(module, [action])
+        return changed
 
     def o3_sequence(self) -> List[str]:
         return list(O3_PIPELINE)

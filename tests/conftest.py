@@ -74,3 +74,58 @@ def build_counted_loop_module(trip: int = 10, body_mul: int = 3) -> Module:
 @pytest.fixture()
 def loop_module():
     return build_counted_loop_module()
+
+
+def module_state(module: Module) -> str:
+    """Everything a pass may mutate and a later pass may observe, as
+    text: the printed IR (which shows function attributes and global
+    linkage) plus what the printer leaves out — global constness and
+    initializers, function linkage, module/function/instruction metadata
+    (``-strip`` and ``-strip-nondebug`` touch nothing else), and the
+    order of every use list (passes iterate over users)."""
+    from repro.ir.printer import module_to_str
+
+    lines = [module_to_str(module), f"!module {sorted(module.metadata.items())!r}"]
+    where = {}  # instruction -> position, to name users by
+
+    def users(value):
+        return [where.get(user) for user in value.users()]
+
+    for func in module.functions.values():
+        for b, bb in enumerate(func.blocks):
+            for i, inst in enumerate(bb.instructions):
+                where[inst] = (func.name, b, i)
+    for gv in module.globals.values():
+        lines.append(f"!global {gv.name} {gv.linkage} {gv.is_constant} "
+                     f"{gv.initializer!r} {users(gv)}")
+    for func in module.functions.values():
+        lines.append(f"!function {func.name} {func.linkage} "
+                     f"{sorted(func.attributes)} "
+                     f"{sorted(func.metadata.items())!r} {users(func)} "
+                     f"{[users(arg) for arg in func.args]}")
+        for bb in func.blocks:
+            lines.append(f"!block {bb.name} {users(bb)}")
+            for inst in bb.instructions:
+                if inst.metadata or inst.is_used:
+                    lines.append(f"!inst {where[inst]} "
+                                 f"{sorted(inst.metadata.items())!r} {users(inst)}")
+    return "\n".join(lines)
+
+
+def run_passes_checked(module: Module, passes) -> bool:
+    """``PassManager().run(module, passes)``, one pass at a time, holding
+    every one of them to the contract the engine's trie rests on: a pass
+    that returns ``False`` left the module exactly as it found it."""
+    from repro.passes import PassManager
+
+    pm = PassManager()
+    changed = False
+    before = module_state(module)
+    for name in passes:
+        if pm.run(module, [name]):
+            changed = True
+            before = module_state(module)
+        else:
+            assert module_state(module) == before, \
+                f"{name} returned False but changed the module"
+    return changed

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.engine import canonicalize_sequence
 from repro.hls.profiler import CycleProfiler, CycleReport
 from repro.interp import batch_exec
 from repro.interp.batch_exec import (
@@ -332,6 +333,49 @@ class TestEngineSeam:
             assert value == v_serial
             assert np.array_equal(feats, f_serial)
         assert samples == serial.samples_taken
+
+    def test_samples_count_distinct_effective_sequences(self, benchmarks):
+        """Sample parity in effective coordinates: a wave profiles one
+        lane per distinct *effective* sequence. ``-adce``/``-simplifycfg``
+        do nothing to unoptimized qsort, so four of the eight rows are
+        the base program."""
+        program = benchmarks["qsort"]
+        toolchain = HLSToolchain(sim_kernels="on")
+        toolchain.engine.clear()
+        rows = toolchain.engine.evaluate_batch(program, self.SEQS)
+        trie = toolchain.engine._trie_for(program)
+        effective = {tuple(trie.resolve(canonicalize_sequence(seq)).effective)
+                     for seq in self.SEQS}
+        assert () in effective and len(effective) < len({*map(tuple, self.SEQS)})
+        assert toolchain.samples_taken == len(effective)
+        assert batch_exec_info()["batch_lanes"] == len(effective)
+        assert rows[0] == rows[1] == rows[2] == rows[3]
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_in_wave_siblings_profile_once_whichever_comes_first(
+            self, benchmarks, order):
+        program = benchmarks["qsort"]
+        noisy, plain = ["-adce", "-mem2reg", "-mem2reg"], ["-mem2reg"]
+        wave = [noisy, plain, ["-simplifycfg"] + noisy][::-1 if order else 1]
+        for want_features in (False, True):
+            toolchain = HLSToolchain(sim_kernels="on")
+            toolchain.engine.clear()
+            rows = toolchain.engine.evaluate_batch(program, wave,
+                                                   want_features=want_features)
+            assert toolchain.samples_taken == 1
+            serial = HLSToolchain(sim_kernels="on")
+            for seq, row in zip(wave, rows):
+                if want_features:
+                    value, feats = serial.engine.evaluate_with_features(program, seq)
+                    assert row[0] == value and np.array_equal(row[1], feats)
+                else:
+                    assert row == serial.engine.evaluate(program, seq)
+            assert serial.samples_taken == 1
+            for key in ("memo_hits", "memo_misses", "effective_hits"):
+                assert toolchain.cache_info()[key] == serial.cache_info()[key], key
+            # every sibling's raw key now answers on its own
+            toolchain.engine.evaluate_batch(program, wave)
+            assert toolchain.samples_taken == 1
 
     def test_memo_hits_skip_the_batch_executor(self, benchmarks):
         toolchain = HLSToolchain(sim_kernels="on")

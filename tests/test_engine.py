@@ -215,6 +215,32 @@ def _vandalize(module):
         func.blocks[-1].drop_all_instructions()
 
 
+def _verdicts(program, names, each_from_base):
+    """What a pass manager says about each of ``names`` applied in order
+    (or each on its own copy of ``program``)."""
+    module = clone_module(program)
+    verdicts = []
+    for name in names:
+        if each_from_base:
+            module = clone_module(program)
+        verdicts.append(PassManager().run(module, [name]))
+    return verdicts
+
+
+def _changing(program, *names, each_from_base=False):
+    """Table indices of ``names``, checked to each change the module when
+    applied in this order — steps in effective coordinates."""
+    assert all(_verdicts(program, names, each_from_base)), names
+    return [pass_index_for_name(name) for name in names]
+
+
+def _noops(program, *names):
+    """Table indices of ``names``, checked to each leave ``program`` as
+    it is."""
+    assert not any(_verdicts(program, names, True)), names
+    return [pass_index_for_name(name) for name in names]
+
+
 class TestSnapshotOwnership:
     """Snapshots are read-only and may be the very module that was
     profiled; modules that leave the engine are private copies."""
@@ -272,15 +298,37 @@ class TestSnapshotOwnership:
         assert clone_module(program).instruction_count() == program.instruction_count()
 
     def test_unrelated_sequences_are_not_admitted(self, benchmarks):
+        # unrelated in *effective* coordinates: every first pass changes
+        # the program, so no two walks share a state
         toolchain = HLSToolchain()
-        firsts = [pass_index_for_name(p) for p in (
-            "-mem2reg", "-simplifycfg", "-instcombine", "-gvn", "-licm", "-sroa")]
+        program = benchmarks["matmul"]
+        firsts = _changing(program, "-mem2reg", "-globalopt", "-instcombine",
+                           "-gvn", "-licm", "-dse", each_from_base=True)
         tail = [pass_index_for_name("-early-cse"), pass_index_for_name("-adce")]
         values = toolchain.engine.evaluate_batch(
-            benchmarks["matmul"], [[first] + tail for first in firsts])
+            program, [[first] + tail for first in firsts])
         assert all(v is not None for v in values)
         info = toolchain.cache_info()
         assert info["snapshots_zero_copy"] == 0 and info["snapshots_stored"] == 0
+
+    def test_sequences_related_only_by_noops_share_their_state(self, benchmarks):
+        # the converse: distinct prefixes that all did nothing lead to ONE
+        # state — one node, one sample — and the first walk that has to
+        # leave it again finds it shared and leaves a snapshot behind
+        toolchain = HLSToolchain()
+        engine, program = toolchain.engine, benchmarks["matmul"]
+        mem2reg, instcombine = _changing(program, "-mem2reg", "-instcombine")
+        noops = _noops(program, "-simplifycfg", "-sroa", "-adce")
+        engine.evaluate_batch(program, [[noop, mem2reg] for noop in noops])
+        info = engine.cache_info()
+        assert toolchain.samples_taken == 1 and info["trie_nodes"] == 1
+        assert info["memo_misses"] == 1 and info["effective_hits"] == 2
+        assert info["passes_applied"] == 4  # three verdicts and one mem2reg
+        assert info["snapshots_stored"] == 0
+        engine.evaluate(program, [noops[0], mem2reg, noops[1], instcombine])
+        info = engine.cache_info()
+        assert info["snapshots_stored"] == 1 and info["trie_nodes"] == 2
+        assert info["snapshots_zero_copy"] == 0  # a copy: the walk went on
 
     def test_extend_by_one_costs_one_clone_and_one_pass(self, benchmarks, monkeypatch):
         from repro.engine import core
@@ -289,21 +337,62 @@ class TestSnapshotOwnership:
         monkeypatch.setattr(core, "clone_module",
                             lambda m: clones.append(m) or clone_module(m))
         toolchain = HLSToolchain(engine_config=self.EAGER)
+        program = benchmarks["sha"]
+        steps = _changing(program, "-mem2reg", "-loop-rotate", "-instcombine",
+                          "-gvn", "-simplifycfg", "-loop-unroll")
         chain = []
-        for step in range(6):
+        for step in steps:  # six effective steps
             chain.append(step)
-            toolchain.engine.evaluate_with_features(benchmarks["sha"], chain)
+            toolchain.engine.evaluate_with_features(program, chain)
         info = toolchain.cache_info()
         assert len(clones) == 6 and info["passes_applied"] == 6
         assert info["snapshots_zero_copy"] == 6
+        # a step that does nothing is found out once (one clone, one pass,
+        # no sample, no new snapshot) and is free wherever it recurs
+        leaf = toolchain.engine.materialize(program, chain)
+        noop, = _noops(leaf, "-adce")
+        seventh, = _changing(leaf, "-sccp")
+        del clones[:]
+        taken = toolchain.samples_taken
+        toolchain.engine.evaluate_with_features(program, chain + [noop])
+        toolchain.engine.evaluate_with_features(program, chain + [noop, noop])
+        info = toolchain.cache_info()
+        assert len(clones) == 1 and info["passes_applied"] == 7
+        assert toolchain.samples_taken == taken
+        assert info["snapshots_zero_copy"] == 6 and info["noop_skipped"] == 2
+        toolchain.engine.evaluate_with_features(program, chain + [noop, seventh])
+        info = toolchain.cache_info()
+        assert len(clones) == 2 and info["passes_applied"] == 8
+        assert toolchain.samples_taken == taken + 1
+        assert info["snapshots_zero_copy"] == 7 and info["noop_skipped"] == 3
+
+    def test_a_fresh_tail_is_one_clone_whatever_the_visit_rule(
+            self, benchmarks, monkeypatch):
+        # states a walk opens itself are no divergence frontier: a brand
+        # new multi-pass sequence costs one clone (and, eagerly, its leaf)
+        from repro.engine import core
+
+        program = benchmarks["sha"]
+        steps = _changing(program, "-mem2reg", "-loop-rotate", "-instcombine",
+                          "-gvn", "-simplifycfg", "-loop-unroll")
+        for config, stored in ((self.EAGER, 1), ({}, 0)):
+            clones = []
+            monkeypatch.setattr(core, "clone_module",
+                                lambda m: clones.append(m) or clone_module(m))
+            toolchain = HLSToolchain(engine_config=config)
+            toolchain.engine.evaluate(program, steps)
+            info = toolchain.cache_info()
+            assert len(clones) == 1 and info["passes_applied"] == 6
+            assert info["snapshots_stored"] == info["snapshots_zero_copy"] == stored
 
     def test_default_visit_rule_promotes_a_leaf_on_its_second_walk(self, benchmarks):
         toolchain = HLSToolchain()
         engine, program = toolchain.engine, benchmarks["sha"]
         reference = HLSToolchain(use_engine=False)
         chain = []
-        for step in range(4):  # first walks: no leaf earns a snapshot
-            chain.append(step)
+        for step in _changing(program, "-mem2reg", "-loop-rotate",
+                              "-instcombine", "-gvn"):
+            chain.append(step)  # first walks: no leaf earns a snapshot
             engine.evaluate(program, chain)
         assert engine.cache_info()["snapshots_zero_copy"] == 0
         # second walk of the same leaf (another objective misses the memo):
@@ -399,3 +488,312 @@ class TestEngineBackedEnvs:
             results.append((r1, info1["cycles"], r2, info2["cycles"],
                             env.initial_cycles))
         assert results[0] == results[1]
+
+
+def _noisy_sequences(rng, count, max_len=9, pool_size=7):
+    """Sequences the no-op-aware trie exists for: drawn with replacement
+    from a small pool (so passes repeat back to back and across
+    sequences) in which most applications do nothing, half of them
+    sharing a prefix with an earlier one."""
+    pool = [int(p) for p in rng.choice(NUM_TRANSFORMS, size=pool_size,
+                                       replace=False)]
+    pool[0] = pass_index_for_name("-mem2reg")  # something always changes
+    seqs = []
+    for _ in range(count):
+        seq = [pool[int(i)] for i in rng.integers(
+            0, pool_size, size=int(rng.integers(1, max_len + 1)))]
+        if seqs and rng.random() < 0.5:
+            donor = seqs[int(rng.integers(len(seqs)))]
+            cut = int(rng.integers(0, len(donor) + 1))
+            seq = donor[:cut] + seq[cut:]
+        seqs.append(seq)
+    return seqs + [seqs[0][:1] * 3, []]
+
+
+def _reference(program, seq, profile=True):
+    """(cycles | None, features, exec signature) of ``seq`` on the
+    uncached path: clone, one PassManager run per pass, profile."""
+    from repro.features.extractor import extract_features
+    from repro.interp.batch_exec import exec_signature
+
+    module = clone_module(program)
+    HLSToolchain.apply_passes(module, seq)
+    cycles = None
+    if profile:
+        try:
+            cycles = HLSToolchain(use_engine=False).cycle_count(module)
+        except HLSCompilationError:
+            pass
+    return cycles, extract_features(module), exec_signature(module, "main")
+
+
+def _trie_shape(engine, program):
+    """What the trie knows, without visit counters and snapshots: per
+    state (named by its effective sequence) the known edges and no-ops."""
+    shape, stack = {}, [((), engine._trie_for(program).root)]
+    while stack:
+        path, node = stack.pop()
+        shape[path] = (sorted(node.children, key=str),
+                       sorted(node.noops, key=str))
+        stack.extend((path + (e,), child) for e, child in node.children.items())
+    return shape
+
+
+class TestEffectiveSequence:
+    """Results, failures and features are keyed by the sequence with the
+    passes that did nothing dropped; whatever the trie skips or shares on
+    that account must be invisible in every value an entry point returns."""
+
+    @pytest.fixture(params=["engine", "service-w0", "service-w2"])
+    def backend(self, request, tmp_path):
+        if request.param == "engine":
+            toolchain = HLSToolchain()
+        else:
+            toolchain = HLSToolchain(
+                backend="service",
+                service_config={"workers": int(request.param[-1]),
+                                "store_dir": str(tmp_path)})
+        yield toolchain
+        toolchain.close()
+
+    def test_every_entry_point_matches_the_uncached_path(
+            self, benchmarks, tiny_corpus, backend):
+        from repro.interp.batch_exec import exec_signature
+
+        engine = backend.engine
+        rng = np.random.default_rng(21)
+        for program in (benchmarks["qsort"], benchmarks["gsm"], tiny_corpus[1]):
+            seqs = _noisy_sequences(rng, count=8)
+            expected = [_reference(program, seq) for seq in seqs]
+            cycles = [e[0] for e in expected]
+            half = len(seqs) // 2
+            assert engine.evaluate_batch(program, seqs[:half]) == cycles[:half]
+            rows = engine.evaluate_batch(program, seqs, want_features=True)
+            assert [row[0] for row in rows] == cycles
+            for seq, (want, feats, signature), row in zip(seqs, expected, rows):
+                assert np.array_equal(row[1], feats), seq
+                assert np.array_equal(engine.features_after(program, seq), feats)
+                module = engine.materialize(program, seq)
+                assert exec_signature(module, "main") == signature, seq
+                prepared = clone_module(program)
+                changed = [HLSToolchain.apply_passes(prepared, [p]) for p in seq]
+                if want is None:
+                    for call in (lambda: engine.evaluate(program, seq),
+                                 lambda: engine.evaluate_with_module(program, seq),
+                                 lambda: engine.evaluate_prepared(
+                                     program, seq, prepared)):
+                        with pytest.raises(HLSCompilationError):
+                            call()
+                    continue
+                assert engine.evaluate(program, seq) == want
+                value, feats_again = engine.evaluate_with_features(program, seq)
+                assert value == want and np.array_equal(feats_again, feats)
+                value, module = engine.evaluate_with_module(program, seq)
+                assert value == want
+                assert exec_signature(module, "main") == signature
+                _vandalize(module)
+                for verdict in (None, changed[-1] if changed else None):
+                    assert engine.evaluate_prepared(
+                        program, seq, prepared, changed=verdict) == want
+        if backend.backend == "engine":  # the property the speed-up needs
+            info = backend.cache_info()
+            assert info["noop_skipped"] > 0 and info["effective_hits"] > 0
+
+    def test_effective_sequence_reaches_the_same_module(self, benchmarks,
+                                                        tiny_corpus):
+        toolchain = HLSToolchain()
+        engine = toolchain.engine
+        rng = np.random.default_rng(33)
+        shorter = 0
+        for program in (benchmarks["matmul"], benchmarks["sha"], tiny_corpus[0]):
+            for seq in _noisy_sequences(rng, count=10):
+                engine.evaluate_batch(program, [seq])
+                res = engine._trie_for(program).resolve(tuple(seq))
+                assert not res.rest  # evaluated: resolves without a module
+                effective = list(res.effective)
+                shorter += len(effective) < len(seq)
+                # equal signatures imply bit-identical executions
+                raw = _reference(program, seq, profile=False)
+                eff = _reference(program, effective, profile=False)
+                assert raw[2] == eff[2], (seq, effective)
+                assert np.array_equal(raw[1], eff[1])
+                # and it is its own effective sequence: a fixed point
+                again = engine._trie_for(program).resolve(tuple(effective))
+                assert list(again.effective) == effective and not again.rest
+        assert shorter > 10
+
+    def test_collapse_costs_nothing(self, benchmarks, monkeypatch):
+        """The verify-skill recipe: evaluate a sequence, then the same
+        sequence with a pass that reported ``changed=False`` removed —
+        zero clones, zero passes, zero samples."""
+        from repro.engine import core
+
+        toolchain = HLSToolchain()
+        engine, program = toolchain.engine, benchmarks["matmul"]
+        a, b = _changing(program, "-mem2reg", "-instcombine")
+        x, = _noops(engine.materialize(program, [a]), "-mem2reg")  # == a
+        first = engine.evaluate(program, [a, x, b])
+        clones = []
+        monkeypatch.setattr(core, "clone_module",
+                            lambda m: clones.append(m) or clone_module(m))
+        before = engine.cache_info()
+        samples = toolchain.samples_taken
+        assert engine.evaluate(program, [a, b]) == first
+        assert engine.evaluate(program, [a, x, x, b, TERMINATE_INDEX, a]) == first
+        after = engine.cache_info()
+        assert not clones and toolchain.samples_taken == samples
+        assert after["passes_applied"] == before["passes_applied"]
+        assert after["memo_misses"] == before["memo_misses"]
+
+    @pytest.mark.parametrize("max_steps, counter", [
+        (50, "budget_failures_memoized"), (1_000_000, "failures_memoized")])
+    def test_failure_sentinels_reach_both_keys(self, benchmarks, monkeypatch,
+                                               max_steps, counter):
+        toolchain = HLSToolchain(max_steps=max_steps)
+        if counter == "failures_memoized":  # a genuine HLS failure
+            def reject(module, entry="main"):
+                raise HLSCompilationError("rejected")
+            monkeypatch.setattr(toolchain.profiler, "profile", reject)
+        engine, program = toolchain.engine, benchmarks["gsm"]
+        a, = _changing(program, "-mem2reg")
+        x, = _noops(program, "-adce")
+        with pytest.raises(HLSCompilationError):
+            engine.evaluate(program, [x, a, a])  # mem2reg twice: once is all
+        taken, applied = toolchain.samples_taken, engine.stats.passes_applied
+        for seq in ([x, a, a], [a], [a, a, a]):  # raw, effective, a sibling
+            with pytest.raises(HLSCompilationError) as excinfo:
+                engine.evaluate(program, seq)
+            assert type(excinfo.value) is type(
+                engine.memoized_failure(program, [a]))
+            assert engine.evaluate_batch(program, [seq, [x] + seq]) == [None] * 2
+        assert toolchain.samples_taken == taken
+        assert engine.stats.passes_applied == applied
+        assert getattr(engine.stats, counter) == 1
+        assert engine.memoized_failure(program, [x, a, a, a]) is not None
+        assert engine.memoized_failure(program, [x]) is None
+
+    def test_pass_that_raises_mid_chain_leaves_the_trie_as_it_was(
+            self, benchmarks, monkeypatch):
+        from repro.passes.base import PASS_CONSTRUCTORS, Pass
+
+        class Boom(Pass):
+            name = "-boom"
+
+            def run(self, module):
+                raise HLSCompilationError("boom")
+
+        monkeypatch.setitem(PASS_CONSTRUCTORS, "-boom", Boom)
+        toolchain = HLSToolchain()
+        engine, program = toolchain.engine, benchmarks["gsm"]
+        reference = HLSToolchain(use_engine=False)
+        a, b = _changing(program, "-mem2reg", "-instcombine")
+        _, c = _changing(program, "-mem2reg", "-loop-rotate")
+        engine.evaluate(program, [a, a])  # mem2reg twice: the second is a no-op
+        shape = _trie_shape(engine, program)
+        assert shape == {(): ([a], []), (a,): ([], [a])}
+        for bad in ("-boom", "-no-such-pass"):
+            for _ in range(2):  # the second attempt must not be a stale hit
+                with pytest.raises((HLSCompilationError, KeyError)):
+                    engine.evaluate(program, [a, a, bad, b])
+                assert _trie_shape(engine, program) == shape
+        # the HLS failure is memoized under the raw key it was asked by,
+        # nothing else; the prefix and its siblings evaluate as ever
+        assert engine.memoized_failure(program, [a, a, "-boom", b]) is not None
+        assert engine.memoized_failure(program, [a, "-boom", b]) is None
+        assert engine.evaluate(program, [a, a, b]) == \
+            reference.cycle_count_with_passes(program, [a, b])
+        # what was learned before the failing pass stays learned
+        with pytest.raises(HLSCompilationError):
+            engine.evaluate(program, [a, c, a, "-boom"])
+        assert _trie_shape(engine, program)[(a, c)] == ([], [a])
+
+    def test_assumed_edge_is_retracted_when_its_pass_does_nothing(self, benchmarks):
+        """``evaluate_prepared`` without a verdict can only assume that
+        the passes behind a finished module changed it. The first real
+        run that says otherwise drops the edge, its subtree and their
+        snapshots — and the results stay right throughout."""
+        toolchain = HLSToolchain(engine_config={"snapshot_min_visits": 1})
+        engine, program = toolchain.engine, benchmarks["gsm"]
+        reference = HLSToolchain(use_engine=False)
+        a, b = _changing(program, "-mem2reg", "-gvn", each_from_base=True)
+        x, = _noops(program, "-adce")
+        prepared = clone_module(program)
+        HLSToolchain.apply_passes(prepared, [x, a])
+        want = reference.cycle_count_with_passes(program, [a])
+        assert engine.evaluate_prepared(program, [x, a], prepared) == want
+        shape = _trie_shape(engine, program)
+        assert set(shape) == {(), (x,), (x, a)}
+        assert engine.cache_info()["snapshot_nodes"] == 1  # at (x, a)
+        # [x, b] has to leave the assumed state (x,): re-running x from
+        # the base program shows it never was a state of its own
+        assert engine.evaluate(program, [x, b]) == \
+            reference.cycle_count_with_passes(program, [b])
+        shape = _trie_shape(engine, program)
+        assert x in shape[()][1] and (x,) not in shape and (x, a) not in shape
+        info = engine.cache_info()
+        assert info["snapshot_nodes"] == 1 and info["trie_nodes"] == 1  # (b,)
+        assert engine.evaluate(program, [x, a]) == want  # the raw alias
+        samples = toolchain.samples_taken
+        assert engine.evaluate(program, [a, x]) == want  # but not this one:
+        assert toolchain.samples_taken == samples + 1  # the key was (x, a)
+        # with the verdict handed over, nothing is assumed in the first place
+        told = HLSToolchain()
+        module, steps = clone_module(program), [x, a, a]
+        for n, element in enumerate(steps, 1):
+            changed = HLSToolchain.apply_passes(module, [element])
+            told.engine.evaluate_prepared(program, steps[:n], module,
+                                          changed=changed)
+        assert _trie_shape(told.engine, program) == {(): ([a], [x]),
+                                                     (a,): ([], [a])}
+        assert told.samples_taken == 2  # the base program and (a,)
+
+    def test_budget_and_eviction_mid_chain_stay_correct(self, benchmarks):
+        reference = HLSToolchain(use_engine=False)
+        program = benchmarks["qsort"]
+        rng = np.random.default_rng(17)
+        seqs = _noisy_sequences(rng, count=14, max_len=12)
+        expected = [reference.cycle_count_with_passes(program, s) for s in seqs]
+        # 64 structure nodes in all, exhausted on purpose by unique tails
+        tiny = HLSToolchain(engine_config={"max_trie_nodes": 1})
+        filler = _random_sequences(rng, count=8, max_len=12, shared_prefix_prob=0)
+        for seq in filler:
+            tiny.cycle_count_with_passes(program, seq)
+        # two snapshots engine-wide, every leaf promoted: constant eviction
+        churn = HLSToolchain(engine_config={"max_trie_nodes": 2,
+                                            "snapshot_min_visits": 1})
+        for toolchain in (tiny, churn):
+            for _ in range(2):
+                got = [toolchain.cycle_count_with_passes(program, s) for s in seqs]
+                assert got == expected
+            assert toolchain.engine.evaluate_batch(program, seqs) == expected
+        assert tiny.cache_info()["trie_nodes"] <= 64
+        assert churn.cache_info()["snapshot_evictions"] > 0
+
+    def test_module_path_and_sequence_path_take_the_same_samples(self, benchmarks):
+        """`bench_features.py`'s ``identical_across_paths`` in the small:
+        the env's incremental module path (``evaluate_prepared`` fed the
+        pass manager's verdict), serial ``evaluate`` and the grouped
+        batch see the same queries and must profile the same ones."""
+        from repro.rl.env import PhaseOrderEnv
+
+        program = benchmarks["gsm"]
+        rng = np.random.default_rng(4)
+        episodes = [[int(p) for p in rng.integers(0, NUM_TRANSFORMS, size=5)]
+                    for _ in range(6)]
+        episodes += episodes[:2]
+        module_path = HLSToolchain()
+        env = PhaseOrderEnv([program], toolchain=module_path, episode_length=5,
+                            use_terminate=False, seed=0)
+        serial, batched = HLSToolchain(), HLSToolchain()
+        for episode in episodes:
+            env.reset(0)
+            steps = [env.step(env.action_indices.index(action))[3]["cycles"]
+                     for action in episode]
+            prefixes = [episode[:n] for n in range(len(episode) + 1)]
+            assert [serial.engine.evaluate(program, p) for p in prefixes][1:] == steps
+            assert batched.engine.evaluate_batch(program, prefixes)[1:] == steps
+        assert module_path.samples_taken == serial.samples_taken \
+            == batched.samples_taken < sum(len(e) for e in episodes)
+        for toolchain in (serial, batched):
+            assert toolchain.cache_info()["memo_misses"] == \
+                module_path.cache_info()["memo_misses"]

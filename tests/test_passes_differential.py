@@ -5,6 +5,9 @@ observable behaviour (return value, output stream, external-global
 memory) must be invariant and the IR must stay verifier-clean. This is
 the single most load-bearing test in the repository: it is how every
 pass proves semantic preservation in combination with every other pass.
+Every pass run here is also held to the ``changed`` contract the
+engine's trie rests on (``run_passes_checked``: ``False`` means the
+module is exactly as it was).
 """
 
 import pytest
@@ -12,10 +15,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.interp import run_module
 from repro.ir import verify_module
-from repro.passes import PASS_TABLE, PassManager
+from repro.passes import PASS_TABLE
 from repro.programs import chstone
 from repro.programs.generator import RandomProgramGenerator, passes_hls_filter
 from repro.toolchain import clone_module
+from tests.conftest import run_passes_checked
 
 _TRANSFORMS = [n for n in dict.fromkeys(PASS_TABLE) if n != "-terminate"]
 _MAX_STEPS = 3_000_000
@@ -48,7 +52,7 @@ class TestRandomProgramsRandomSequences:
         if not ok:
             return  # the paper's filter would have dropped it
         m = clone_module(base)
-        PassManager().run(m, seq)
+        run_passes_checked(m, seq)
         verify_module(m)
         assert run_module(m, max_steps=_MAX_STEPS).observable() == ref
 
@@ -62,7 +66,7 @@ class TestRandomProgramsRandomSequences:
         verify_module(clone)
         assert run_module(clone, max_steps=_MAX_STEPS).observable() == ref
         # and the clone is independent: optimizing it leaves the base alone
-        PassManager().run(clone, ["-mem2reg", "-simplifycfg"])
+        run_passes_checked(clone, ["-mem2reg", "-simplifycfg"])
         assert run_module(base, max_steps=_MAX_STEPS).observable() == ref
 
 
@@ -89,7 +93,7 @@ class TestBenchmarksUnderSequences:
         ref = run_module(base, max_steps=_MAX_STEPS).observable()
         for seq in self.SEQUENCES:
             m = clone_module(base)
-            PassManager().run(m, seq)
+            run_passes_checked(m, seq)
             verify_module(m)
             got = run_module(m, max_steps=_MAX_STEPS).observable()
             assert got == ref, f"{name} broken by {seq}"
@@ -102,6 +106,6 @@ class TestBenchmarksUnderSequences:
         ref = run_module(base, max_steps=_MAX_STEPS).observable()
         seq = self.SEQUENCES[0] * 2
         m = clone_module(base)
-        PassManager().run(m, seq)
+        run_passes_checked(m, seq)
         verify_module(m)
         assert run_module(m, max_steps=_MAX_STEPS).observable() == ref

@@ -123,13 +123,15 @@ class TestPhaseOrderEnv:
 
     def test_sample_accounting(self, benchmarks):
         tc = HLSToolchain()
-        env = PhaseOrderEnv([benchmarks["gsm"]], toolchain=tc, episode_length=3)
+        env = PhaseOrderEnv([benchmarks["gsm"]], toolchain=tc, episode_length=4)
         tc.reset_sample_counter()
         env.reset()
-        env.step(0)
-        env.step(1)
-        # reset profiles once + each step profiles once
+        env.step(pass_index_for_name("-mem2reg"))
+        env.step(pass_index_for_name("-instcombine"))
+        # reset profiles once + each step that changed the module once
         assert tc.samples_taken == 3
+        env.step(pass_index_for_name("-mem2reg"))  # nothing left to promote:
+        assert tc.samples_taken == 3  # the module is the one just profiled
 
     def test_multi_program_sampling(self, benchmarks, tiny_corpus):
         env = PhaseOrderEnv(tiny_corpus, episode_length=2, seed=0)

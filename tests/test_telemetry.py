@@ -21,7 +21,12 @@ from repro.telemetry.core import (
     merge_snapshots,
     quantile_from_snapshot,
 )
-from repro.telemetry.render import aggregate, hist_summary, render_cache_table
+from repro.telemetry.render import (
+    aggregate,
+    hist_summary,
+    render_cache_table,
+    render_dashboard,
+)
 from repro.toolchain import HLSToolchain
 
 
@@ -324,6 +329,18 @@ class TestInstrumentedStack:
         # the batch's cache misses profile as one wave
         assert hists["engine.profile_batch.seconds"]["count"] > 0, hists
         assert snap["counters"]["engine.memo_misses"] > 0
+        # one truth for hit counts: telemetry and cache_info() are counted
+        # at the same point, after resolution, effective hits included
+        mem2reg = ["-mem2reg"] * 2
+        tc.engine.evaluate_batch(benchmarks["gsm"], [[38], mem2reg, mem2reg * 2])
+        tc.engine.evaluate(benchmarks["gsm"], mem2reg * 3)
+        counters, info = tm.snapshot()["counters"], tc.cache_info()
+        for key in ("memo_hits", "memo_misses", "effective_hits",
+                    "noop_skipped"):
+            assert counters[f"engine.{key}"] == info[key] > 0, key
+        dashboard = render_dashboard(aggregate([tm.snapshot()]))
+        assert "engine.effective_hits" in dashboard
+        assert "engine.noop_skipped" in dashboard
         # kernel compile/execute split (sim kernels default on)
         assert any(n.startswith(("kernel.", "interp.")) for n in hists), hists
 
@@ -544,10 +561,16 @@ class TestCLISurfaces:
             assert main(["profile-hotspots", "gsm", "--phase", phase,
                          "--passes=-mem2reg -gvn", "--top", "400",
                          "--json", out_path]) == 0
-            assert f"phase={phase}" in capsys.readouterr().out
+            summary = capsys.readouterr().out.splitlines()[0]
+            assert f"phase={phase}" in summary
             with open(out_path) as fh:
                 payload = json.load(fh)
             assert payload["phase"] == phase
+            # what the engine did with the sequence rides both surfaces
+            for key in ("passes_applied", "noop_skipped", "effective_hits"):
+                assert (key in payload) == (phase != "profile")
+                if phase != "profile":
+                    assert f"{key}={payload[key]}" in summary
             return payload["cycles"], {row["function"] for row in payload["hotspots"]}
 
         # default 'all' = one engine.evaluate on a cleared engine: clone,
@@ -577,6 +600,18 @@ class TestCLISurfaces:
         assert "75.0%" in table and "80.0%" in table
         empty = render_cache_table({"memo_hits": 0, "memo_misses": 0})
         assert "no cache activity" in empty
+
+    def test_render_cache_table_shows_the_noop_collapse(self):
+        table = render_cache_table({
+            "memo_hits": 8, "memo_misses": 2, "effective_hits": 6,
+            "passes_applied": 30, "passes_saved": 10, "noop_skipped": 90,
+        })
+        def row(label):
+            line, = [l for l in table.splitlines() if label in l]
+            return line.split()[-3:]
+
+        assert row("of which by effective sequence") == ["6", "2", "75.0%"]
+        assert row("prefix trie (no-ops skipped)") == ["90", "30", "75.0%"]
 
 
 class TestTrainerEvents:
