@@ -12,10 +12,9 @@ profiles and kernel execution — every instrumented layer on the hot
 path. Toolchains are rebuilt per pass so both modes repeatedly pay the
 span-wrapped cold engine paths rather than a memoized lookup loop.
 
-Also validates every ``BENCH_*.json`` trajectory file at the repo root:
-each must parse and keep the github-action-benchmark shape (a list of
-runs, each a list of ``{name, unit, value}`` records) — the CI gate
-that notices a bench writer corrupting the shared trajectory format.
+An assertion, not a recorder: a run writes no tracked file (timings go
+to the terminal and ``results/artifacts.txt``; the performance record is
+``benchmarks/e2e/``).
 
 Run via pytest (``pytest benchmarks/bench_telemetry.py``) or standalone
 (``python benchmarks/bench_telemetry.py``).
@@ -23,9 +22,6 @@ Run via pytest (``pytest benchmarks/bench_telemetry.py``) or standalone
 
 from __future__ import annotations
 
-import glob
-import json
-import os
 import time
 from typing import Dict, List
 
@@ -33,12 +29,11 @@ from repro import telemetry as tm
 from repro.toolchain import HLSToolchain
 
 MAX_OVERHEAD = 1.05     # telemetry-on wall-clock ≤ 5% over telemetry-off
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BENCH_FILE = os.path.join(REPO_ROOT, "BENCH_telemetry.json")
 
-# Interleaved best-of-N (the bench_interp defence): per round one pass
-# per mode back to back, each mode keeps its minimum, so CPU-frequency
-# regime shifts on shared runners hit both modes alike.
+# Interleaved best-of-N: per round one pass per mode back to back, each
+# mode keeps its minimum, so CPU-frequency regime shifts on shared
+# runners hit both modes alike — a slowdown in a minimum is real, never
+# interference.
 ITERATIONS = 12
 SEQUENCES = [[38, 31], [38, 31, 7], [31, 7, 11]]
 
@@ -91,49 +86,7 @@ def run_bench(programs: Dict[str, object]) -> Dict:
     }
 
 
-def validate_trajectories() -> Dict[str, int]:
-    """Every BENCH_*.json must parse and keep the trajectory shape."""
-    counts: Dict[str, int] = {}
-    for path in sorted(glob.glob(os.path.join(REPO_ROOT, "BENCH_*.json"))):
-        with open(path) as fh:
-            history = json.load(fh)
-        assert isinstance(history, list) and history, \
-            f"{path}: expected a non-empty list of runs"
-        for run in history:
-            assert isinstance(run, list) and run, \
-                f"{path}: each run must be a non-empty entry list"
-            for entry in run:
-                assert {"name", "unit", "value"} <= set(entry), \
-                    f"{path}: malformed entry {entry!r}"
-                assert isinstance(entry["value"], (int, float)), \
-                    f"{path}: non-numeric value in {entry!r}"
-        counts[os.path.basename(path)] = len(history)
-    return counts
-
-
-def append_trajectory(result: Dict) -> None:
-    history = []
-    if os.path.exists(BENCH_FILE):
-        with open(BENCH_FILE) as fh:
-            history = json.load(fh)
-    history.append([
-        {"name": "telemetry_off_seconds", "unit": "s",
-         "value": round(result["off_seconds"], 4)},
-        {"name": "telemetry_on_seconds", "unit": "s",
-         "value": round(result["on_seconds"], 4)},
-        {"name": "telemetry_overhead", "unit": "x",
-         "value": round(result["overhead"], 4)},
-        {"name": "telemetry_trace_seconds", "unit": "s",
-         "value": round(result["trace_seconds"], 4)},
-        {"name": "telemetry_trace_overhead", "unit": "x",
-         "value": round(result["trace_overhead"], 4)},
-    ])
-    with open(BENCH_FILE, "w") as fh:
-        json.dump(history, fh, indent=2)
-        fh.write("\n")
-
-
-def _render(result: Dict, trajectories: Dict[str, int]) -> str:
+def _render(result: Dict) -> str:
     lines = [
         f"workload: {result['evaluations_per_pass']} evaluations/pass "
         f"({result['programs']} CHStone programs x {len(SEQUENCES)} "
@@ -144,30 +97,24 @@ def _render(result: Dict, trajectories: Dict[str, int]) -> str:
         f"({result['trace_overhead']:.4f}x, informational)",
         f"overhead     : {result['overhead']:.4f}x "
         f"(ceiling {MAX_OVERHEAD}x), values bit-identical in all modes",
-        "trajectories : " + ", ".join(f"{name}({runs})" for name, runs
-                                      in trajectories.items()),
     ]
     return "\n".join(lines)
 
 
-def test_telemetry_overhead_and_trajectories(benchmarks):
+def test_telemetry_overhead(benchmarks):
     from conftest import emit  # benchmarks/ is sys.path-prepended by pytest
 
     result = run_bench(benchmarks)
-    trajectories = validate_trajectories()
     emit("BENCH telemetry — instrumentation overhead on the hot path",
-         _render(result, trajectories))
-    append_trajectory(result)
-    assert result["overhead"] <= MAX_OVERHEAD, _render(result, trajectories)
+         _render(result))
+    assert result["overhead"] <= MAX_OVERHEAD, _render(result)
 
 
 if __name__ == "__main__":
     from repro.programs import chstone
 
     result = run_bench(chstone.build_all())
-    trajectories = validate_trajectories()
-    print(_render(result, trajectories))
-    append_trajectory(result)
+    print(_render(result))
     if result["overhead"] > MAX_OVERHEAD:
         raise SystemExit(f"telemetry overhead {result['overhead']:.4f}x "
                          f"exceeds the {MAX_OVERHEAD}x ceiling")

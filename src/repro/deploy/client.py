@@ -5,9 +5,9 @@ submission carries a monotonically increasing ``id``, a reader thread
 matches (possibly out-of-order) replies back to their Futures, and
 synchronous helpers are thin ``.result()`` wrappers. Firing N
 ``submit_infer`` calls before waiting is what lets the server coalesce
-them into one batched policy forward per rollout step — the
-``bench_inference`` benchmark measures exactly that against N
-sequential :meth:`infer` calls.
+them into one batched policy forward per rollout step, where N
+sequential :meth:`infer` calls pay N round trips and N single-row
+forwards.
 
     with InferenceClient("/tmp/repro-policy.sock") as client:
         futures = [client.submit_infer(f"gen:{seed}") for seed in seeds]

@@ -36,7 +36,7 @@ from ..hls.profiler import HLSCompilationError
 from ..ir.module import Module
 from ..passes.registry import NUM_ACTIONS, NUM_TRANSFORMS, TERMINATE_INDEX
 from ..rl.env import multi_action_observation, phase_order_observation
-from ..toolchain import HLSToolchain, clone_module
+from ..toolchain import HLSToolchain
 
 __all__ = ["PolicySpec", "PolicyRunner", "PolicyDecision", "build_agent"]
 
@@ -198,13 +198,12 @@ class PolicyDecision:
 class PolicyRunner:
     """Greedy batched inference over a trained agent.
 
-    With an engine (or service client) behind the toolchain, rollouts
-    run *sequence-space*: per-step observations come from
+    Rollouts run *sequence-space* against the engine (or service
+    client) behind the toolchain: per-step observations come from
     ``engine.features_after`` — memo hits answer without materializing a
     module, and nothing ever profiles, so inference costs zero simulator
-    samples. Without one (``use_engine=False``), the legacy per-program
-    clone + incremental pass application path produces bit-identical
-    sequences (the determinism tests pin both paths against each other).
+    samples. A toolchain without an engine (``use_engine=False``) is the
+    uncached reference façade and is refused at construction.
     """
 
     def __init__(self, agent, spec: PolicySpec,
@@ -212,6 +211,13 @@ class PolicyRunner:
         self.agent = agent
         self.spec = spec
         self.toolchain = toolchain or HLSToolchain()
+        if self.toolchain.engine is None:
+            raise ValueError(
+                "PolicyRunner reads observations from an evaluation engine "
+                "(backend 'engine' or 'service'); "
+                "HLSToolchain(use_engine=False) is the uncached reference "
+                "façade — replay a served sequence through its "
+                "cycle_count_with_passes / features_after instead")
         # Policy forward passes — the server's cross-request batching
         # claim is measured as forwards per served request.
         self.forwards = 0
@@ -220,8 +226,8 @@ class PolicyRunner:
     def infer(self, module: Module) -> Tuple[List[int], Module]:
         """Greedy rollout for one program: (applied sequence, optimized
         module) — the exact contract of the legacy ``infer_sequence``."""
-        sequences, modules = self._rollout([module], want_modules=True)
-        return sequences[0], modules[0]
+        sequence = self._rollout([module])[0]
+        return sequence, self.toolchain.engine.materialize(module, sequence)
 
     def infer_batch(self, modules: Sequence[Module]) -> List[List[int]]:
         """Greedy rollouts for many programs at once: every synchronized
@@ -229,20 +235,11 @@ class PolicyRunner:
         Returns one pass sequence per input program; no module is
         materialized (serve the sequence, let the caller decide whether
         to pay for verification)."""
-        return self._rollout(modules, want_modules=False)[0]
+        return self._rollout(modules)
 
-    def _features(self, program: Module, applied: Sequence[int],
-                  candidate: Optional[Module]) -> np.ndarray:
-        engine = self.toolchain.engine
-        if engine is not None:
-            return engine.features_after(program, applied)
-        from ..features.extractor import features_for
-
-        return features_for(candidate)
-
-    def _rollout(self, modules: Sequence[Module], want_modules: bool):
+    def _rollout(self, modules: Sequence[Module]) -> List[List[int]]:
         if self.spec.multi_action:
-            return self._rollout_multi(modules, want_modules)
+            return self._rollout_multi(modules)
         spec = self.spec
         engine = self.toolchain.engine
         action_indices = (list(spec.action_indices)
@@ -251,18 +248,13 @@ class PolicyRunner:
         n = len(modules)
         applied: List[List[int]] = [[] for _ in range(n)]
         histograms = np.zeros((n, NUM_ACTIONS), dtype=np.float64)
-        candidates = ([clone_module(m) for m in modules]
-                      if engine is None and (want_modules or
-                                             spec.observation != "histogram")
-                      else None)
         active = list(range(n))
         for _ in range(spec.episode_length):
             if not active:
                 break
             rows = []
             for i in active:
-                raw = (self._features(modules[i], applied[i],
-                                      candidates[i] if candidates else None)
+                raw = (engine.features_after(modules[i], applied[i])
                        if spec.observation in ("features", "both") else None)
                 rows.append(phase_order_observation(
                     spec.observation, raw, histograms[i],
@@ -276,18 +268,11 @@ class PolicyRunner:
                     continue                       # program i is done
                 applied[i].append(pass_index)
                 histograms[i][pass_index] += 1
-                if candidates is not None:
-                    self.toolchain.apply_passes(candidates[i], [pass_index])
                 fresh.append(i)
             active = fresh
-        if not want_modules:
-            return applied, None
-        if candidates is not None:
-            return applied, candidates
-        return applied, [engine.materialize(m, seq)
-                         for m, seq in zip(modules, applied)]
+        return applied
 
-    def _rollout_multi(self, modules: Sequence[Module], want_modules: bool):
+    def _rollout_multi(self, modules: Sequence[Module]) -> List[List[int]]:
         """§5.2 greedy inference: nudge a whole pass-index vector for
         ``episode_length`` steps (observations track the full current
         sequence, exactly like :class:`~repro.rl.env.MultiActionEnv` —
@@ -300,15 +285,9 @@ class PolicyRunner:
         for _ in range(spec.episode_length):
             rows = []
             for i in range(n):
-                raw = None
-                if spec.observation in ("features", "both"):
-                    seq = [int(a) for a in indices[i]]
-                    if engine is not None:
-                        raw = engine.features_after(modules[i], seq)
-                    else:
-                        candidate = clone_module(modules[i])
-                        self.toolchain.apply_passes(candidate, seq)
-                        raw = self._features(modules[i], seq, candidate)
+                raw = (engine.features_after(modules[i],
+                                             [int(a) for a in indices[i]])
+                       if spec.observation in ("features", "both") else None)
                 rows.append(multi_action_observation(
                     spec.observation, raw, indices[i],
                     spec.feature_indices, spec.normalization))
@@ -316,18 +295,7 @@ class PolicyRunner:
             actions = self.agent.act_greedy_batch(np.stack(rows))
             indices = np.clip(indices + (np.asarray(actions) - 1),
                               0, NUM_ACTIONS - 1)
-        applied = [[int(a) for a in row] for row in indices]
-        if not want_modules:
-            return applied, None
-        out = []
-        for module, seq in zip(modules, applied):
-            if engine is not None:
-                out.append(engine.materialize(module, seq))
-            else:
-                candidate = clone_module(module)
-                self.toolchain.apply_passes(candidate, seq)
-                out.append(candidate)
-        return applied, out
+        return [[int(a) for a in row] for row in indices]
 
     # -- verified optimization ----------------------------------------------
     def _evaluate(self, module: Module, sequence: Sequence,
@@ -387,13 +355,9 @@ class PolicyRunner:
                 candidates = [[int(a) for a in
                                rng.choice(transforms, size=spec.episode_length)]
                               for _ in range(refine)]
-                engine = self.toolchain.engine
-                if engine is not None:
-                    values = engine.evaluate_batch(module, candidates)
-                    counter[0] += len(candidates)
-                else:
-                    values = [self._evaluate(module, c, counter)
-                              for c in candidates]
+                values = self.toolchain.engine.evaluate_batch(module,
+                                                              candidates)
+                counter[0] += len(candidates)
                 for candidate, value in zip(candidates, values):
                     if value is not None and \
                             (best_cycles is None or value < best_cycles):

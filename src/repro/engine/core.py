@@ -9,9 +9,7 @@ for the cache-key/invalidation contract.
 
 from __future__ import annotations
 
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -39,7 +37,7 @@ class BatchEvaluationError(RuntimeError):
     failing sequence, reported as ``None`` in batch results): this wraps
     an unexpected exception — a pass bug, a profiler crash — and carries
     the offending sequence so a failed candidate is debuggable instead of
-    vanishing into a bare traceback from the pool.
+    vanishing into a traceback that names no candidate.
     """
 
     def __init__(self, sequence: Sequence[Element], original: BaseException) -> None:
@@ -120,22 +118,13 @@ class EvaluationEngine:
                        prefix depth (plus the full-sequence node), so one
                        long materialization doesn't pay a module clone
                        per pass applied.
-    max_workers:       thread-pool width for :meth:`evaluate_batch`
-                       (``REPRO_ENGINE_WORKERS`` overrides; ≤1 = serial).
     """
 
     def __init__(self, toolchain, max_trie_nodes: int = 256,
                  max_memo_entries: int = 8192,
                  snapshot_min_visits: int = 2,
-                 snapshot_stride: int = 8,
-                 max_workers: Optional[int] = None) -> None:
+                 snapshot_stride: int = 8) -> None:
         self.toolchain = toolchain
-        if max_workers is None:
-            try:
-                max_workers = int(os.environ.get("REPRO_ENGINE_WORKERS", ""))
-            except ValueError:
-                max_workers = min(4, os.cpu_count() or 1)
-        self.max_workers = max(1, max_workers)
         self.snapshot_min_visits = snapshot_min_visits
         self.snapshot_stride = max(1, snapshot_stride)
         self.stats = EngineStats()
@@ -151,7 +140,6 @@ class EvaluationEngine:
         # id(program) -> its trie (which keeps the program, and so the
         # id, alive)
         self._programs: Dict[int, PrefixTrie] = {}
-        self._pool: Optional[ThreadPoolExecutor] = None
         self._lock = threading.Lock()
 
     # -- program registry ---------------------------------------------------
@@ -447,13 +435,8 @@ class EvaluationEngine:
         materialization run per sequence, in order, exactly as
         :meth:`evaluate` would, and every module that still needs the
         simulator is profiled in ONE ``objective_values_batch`` wave —
-        same values, same samples as the serial loop. Only an objective
-        without a batched form (``area``) falls back to per-sequence
-        evaluation on a persistent thread pool; results are identical at
-        any worker count, but concurrent misses may each apply a cold
-        prefix sequential evaluation would share (the simulator is pure
-        Python, so ``REPRO_ENGINE_WORKERS=1`` is the minimal-work setting
-        on a GIL-bound build)."""
+        same values, same samples as the serial loop. An objective
+        without a batched form (``area``) runs that serial loop."""
         self.stats.batches += 1
         tm.observe("engine.batch_size", len(sequences))
         keyed = [canonicalize_sequence(seq) for seq in sequences]
@@ -472,9 +455,8 @@ class EvaluationEngine:
             except HLSCompilationError:
                 return self._failed_row(program, canonical, want_features)
             except Exception as exc:
-                # Surface worker crashes with the offending sequence
-                # attached (a bare pool traceback is indistinguishable
-                # from any other candidate); raised after the scan below.
+                # Surface crashes with the offending sequence attached;
+                # raised after the scan below.
                 return BatchEvaluationError(canonical, exc)
 
         pending = list(unique)
@@ -483,27 +465,6 @@ class EvaluationEngine:
                 self._evaluate_batch_grouped(program, pending, unique,
                                              objective, area_weight, entry,
                                              want_features)
-            elif self.max_workers > 1 and len(pending) > 1:
-                with self._lock:
-                    if self._pool is None:  # persistent: one pool per engine
-                        self._pool = ThreadPoolExecutor(
-                            max_workers=self.max_workers,
-                            thread_name_prefix="repro-engine")
-                    pool = self._pool
-                # Trace context is thread-local; hand the batch span's
-                # trace id to the pool threads so per-candidate spans
-                # stay inside the caller's trace instead of minting one
-                # trace per pool thread. ``ctx`` is None outside trace
-                # mode, and attach is then a no-op.
-                ctx = tm.current_trace()
-
-                def run_traced(canonical):
-                    with tm.attach_trace(ctx):
-                        return run_one(canonical)
-
-                for canonical, value in zip(pending,
-                                            pool.map(run_traced, pending)):
-                    unique[canonical] = value
             else:
                 for canonical in pending:
                     unique[canonical] = run_one(canonical)
@@ -525,7 +486,7 @@ class EvaluationEngine:
     def _use_grouped(self, objective: str) -> bool:
         """Whether cache misses of a batch are profiled as one wave
         (the objective has a batched form; ``profile_batch`` decides how
-        to run it) instead of per-sequence on the thread pool."""
+        to run it) instead of one by one."""
         return (objective in ("cycles", "cycles-area")
                 and hasattr(self.toolchain, "objective_values_batch"))
 

@@ -13,10 +13,10 @@
 count, and the per-episode reward history (Figure 8's y-axis). It is a
 thin compatibility wrapper over :class:`~repro.rl.trainer.Trainer`, the
 vectorized rollout driver — ``lanes=1`` (the default) reproduces the
-legacy sequential loops draw-for-draw (``_train_agent_legacy`` below
-keeps the reference implementation the determinism tests compare
-against), while ``lanes=N`` batches N episodes per policy step through
-the engine/service stack.
+pre-vectorization sequential loops draw-for-draw (the loops themselves
+live in ``tests/test_trainer.py``, beside the determinism tests that
+compare against them), while ``lanes=N`` batches N episodes per policy
+step through the engine/service stack.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from ..toolchain import HLSToolchain
 from .a2c import A2CAgent, A2CConfig
 from .env import MultiActionEnv, PhaseOrderEnv
 from .es import ESAgent, ESConfig
-from .ppo import PPOAgent, PPOConfig, Rollout
+from .ppo import PPOAgent, PPOConfig
 
 __all__ = ["AGENT_NAMES", "TABLE3", "TrainResult", "make_agent", "train_agent",
            "infer_sequence"]  # Trainer/VectorEnv live in .trainer/.vec_env
@@ -131,103 +131,6 @@ def train_agent(name: str, programs: Sequence[Module], episodes: int = 20,
     trainer = Trainer(name, programs, episodes=episodes,
                       update_every=update_every, lanes=lanes, **kwargs)
     return trainer.train()
-
-
-def _train_agent_legacy(name: str, programs: Sequence[Module], episodes: int = 20,
-                        update_every: int = 2, **kwargs) -> TrainResult:
-    """The pre-vectorization sequential training loops, kept verbatim as
-    the anchored reference: the ``lanes=1`` determinism tests and the
-    RL benchmark compare :class:`Trainer` output against this
-    implementation reward-for-reward."""
-    env, agent = make_agent(name, programs, **kwargs)
-    env.toolchain.reset_sample_counter()
-
-    best_cycles = np.inf
-    best_sequence: List[int] = []
-    episode_rewards: List[float] = []
-
-    def note_best(info) -> None:
-        nonlocal best_cycles, best_sequence
-        if info["best_cycles"] < best_cycles:
-            best_cycles = info["best_cycles"]
-            best_sequence = info["best_sequence"]
-
-    if name == "RL-ES":
-        assert isinstance(agent, ESAgent)
-
-        def evaluate() -> float:
-            obs = env.reset()
-            total, done = 0.0, False
-            while not done:
-                action = agent.act(obs)
-                obs, reward, done, info = env.step(int(action[0]))
-                total += reward
-            note_best(info)
-            episode_rewards.append(total)
-            return total
-
-        def evaluate_population(thetas) -> List[float]:
-            # The ES generation's population-scoring seam: one
-            # engine-backed episode per perturbed weight vector, in
-            # antithetic order. Trainer._score_population is the
-            # vectorized successor (lane-parallel, StackedMLP forward);
-            # this sequential scorer stays as the anchored reference.
-            scores = []
-            for theta in thetas:
-                agent.policy.set_flat(theta)
-                scores.append(evaluate())
-            return scores
-
-        generations = max(1, episodes // (2 * agent.config.population))
-        for _ in range(generations):
-            agent.train_step(evaluate, evaluate_batch=evaluate_population)
-    elif name == "RL-PPO3":
-        assert isinstance(agent, PPOAgent)
-        rollout = Rollout()
-        for ep in range(episodes):
-            obs = env.reset()
-            total, done = 0.0, False
-            while not done:
-                action, logp, value = agent.act(obs)
-                next_obs, reward, done, info = env.step(action)
-                rollout.add(obs, action, logp, reward, value, done)
-                obs = next_obs
-                total += reward
-            note_best(info)
-            episode_rewards.append(total)
-            if (ep + 1) % update_every == 0 and len(rollout):
-                agent.update(rollout)
-                rollout = Rollout()
-    else:
-        rollout = Rollout()
-        for ep in range(episodes):
-            obs = env.reset()
-            total, done = 0.0, False
-            while not done:
-                action, logp, value = agent.act(obs)
-                next_obs, reward, done, info = env.step(int(action[0]))
-                rollout.add(obs, action, logp, reward, value, done)
-                obs = next_obs
-                total += reward
-            note_best(info)
-            episode_rewards.append(total)
-            if (ep + 1) % update_every == 0 and len(rollout):
-                agent.update(rollout)
-                rollout = Rollout()
-
-    return TrainResult(
-        agent_name=name,
-        best_cycles=int(best_cycles) if np.isfinite(best_cycles) else None,
-        best_sequence=best_sequence,
-        # Candidate evaluations, the same unit SequenceEvaluator.samples
-        # reports for the black-box rows — Figure 7 compares one axis.
-        # (env.toolchain.samples_taken holds the true, cache-discounted
-        # simulator-invocation count.)
-        samples=int(env.evaluations),
-        episode_rewards=episode_rewards,
-        agent=agent,
-        env=env,
-    )
 
 
 def infer_sequence(agent, module: Module, length: int = 12,

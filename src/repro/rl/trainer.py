@@ -18,9 +18,12 @@ wave-synchronized driver over a :class:`~repro.rl.vec_env.VectorEnv`:
   concurrently-running members.
 
 With ``lanes=1`` the Trainer consumes every RNG draw-for-draw like the
-legacy sequential loops (``agents._train_agent_legacy`` keeps the
-reference implementation), so Figure 8/9 numbers stay anchored to the
-seed; more lanes trade that bit-level anchoring for throughput.
+pre-vectorization sequential loops over the gym envs (kept, verbatim, in
+``tests/test_trainer.py`` as the reference the determinism tests compare
+against), so Figure 8/9 numbers stay anchored to the seed; more lanes
+trade that bit-level anchoring for throughput. The toolchain must carry
+an engine or service client: the rollout layer speaks sequences to it
+and nothing else (``HLSToolchain(use_engine=False)`` is refused).
 
 Checkpointing (:meth:`save_checkpoint` / :meth:`restore`) captures
 policy weights, optimizer moments, the running observation normalizer,
@@ -139,8 +142,7 @@ class Trainer:
                      greedy rollouts instead of sampled actions, drawing
                      each member's program from a stream keyed by its
                      episode index. Makes member trajectories independent
-                     of lane count on any corpus (the benchmark's
-                     samples-invariance lever).
+                     of lane count on any corpus.
     prune_features / prune_passes: run the §4 random-forest pruning
                      stage before building the agent — collect
                      exploration data through the vectorized stack, fit
@@ -206,9 +208,8 @@ class Trainer:
         # shared agent/lane generators, so a trajectory does not depend
         # on which lane ran it. With updates aligned to wave boundaries
         # (lanes divides update_every), the whole training run — rewards,
-        # best sequence, simulator samples — is lane-count invariant,
-        # which is what lets the RL benchmark compare wall-clock at equal
-        # work. Default off: the legacy loops' shared-stream semantics.
+        # best sequence, simulator samples — is lane-count invariant.
+        # Default off: the legacy loops' shared-stream semantics.
         self.episode_seeding = episode_seeding
         self.seed = int(agent_kwargs.get("seed", 0))
         env, agent = make_agent(name, programs, **agent_kwargs)

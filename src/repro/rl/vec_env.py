@@ -4,18 +4,16 @@
 semantics) and :class:`MultiActionVectorEnv`
 (:class:`~repro.rl.env.MultiActionEnv` semantics) run N *independent*
 episodes — each lane has its own program choice, pass history, reward
-accumulator and termination — but every synchronized step (and wave
-reset) collects all lanes' pending ``(program, sequence)`` scoring
-queries and resolves them through the evaluation stack in one shot:
+accumulator and termination — but every synchronized step (and reset)
+collects all lanes' pending ``(program, sequence)`` scoring queries and
+resolves them through the evaluation stack in one shot:
 
 * ``backend="service"`` — one in-flight :meth:`EvaluationClient.submit`
   future per query, so misses fan out across the sharded worker
   processes concurrently;
 * ``backend="engine"`` — one :meth:`EvaluationEngine.evaluate_batch`
   call per distinct program, deduplicating identical sequences across
-  lanes before anything touches the simulator;
-* no engine (``use_engine=False``) — the uncached per-lane fallback,
-  preserving the seed toolchain's semantics.
+  lanes before anything touches the simulator.
 
 Per-lane semantics are bit-identical to the sequential envs: the same
 reward/termination/failure rules, the same candidate-evaluation
@@ -26,21 +24,16 @@ for the multi-action formulation. Lane 0 draws programs from the
 template env's own RNG, so a one-lane vector env reproduces the
 sequential environment draw-for-draw.
 
-With an engine (or service client) behind the toolchain, **every**
-observation mode takes the *sequence-space* fast path: lanes never
-materialize a module at all. Histogram observations need only the
-memo/prefix-trie; feature observations additionally ride the engine's
-feature memo (``evaluate_with_features`` batches value + 56-vector in
-one query, ``features_after`` covers failed steps), so a warm
-feature-observation trajectory runs at policy-network speed too —
-cycles from the result memo, observations from the feature memo, zero
-pass applications, zero module clones. Cold misses pay the engine's
-materialization instead of an incremental pass apply. Setting
-``vec.sequence_features = False`` before training forces feature
-observations back onto the legacy incremental per-lane module
-(``evaluate_prepared``) path — the pre-feature-pipeline baseline the
-feature benchmark compares against; with no engine at all the module
-path is the only one.
+Lanes speak *sequences* to an engine and nothing else — no lane ever
+holds a module. Histogram observations need only the memo/prefix-trie;
+feature observations additionally ride the engine's feature memo
+(``want_features`` batches value + 56-vector in one query,
+``features_after`` covers failed steps), so a warm trajectory runs at
+policy-network speed — cycles from the result memo, observations from
+the feature memo, zero pass applications, zero module clones. A
+toolchain without an engine (``HLSToolchain(use_engine=False)``) is the
+uncached reference façade and is refused at construction; the
+sequential envs are the step-for-step reference on top of it.
 """
 
 from __future__ import annotations
@@ -49,10 +42,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..features.extractor import features_for
 from ..hls.profiler import HLSCompilationError
 from ..passes.registry import NUM_ACTIONS, TERMINATE_INDEX
-from ..toolchain import clone_module
 from .env import (
     MultiActionEnv,
     PhaseOrderEnv,
@@ -73,18 +64,15 @@ Query = Tuple["_Lane", tuple]
 class _Lane:
     """One episode lane's private state (single- or multi-action)."""
 
-    __slots__ = ("rng", "program_index", "module", "changed", "features",
-                 "histogram", "applied", "indices", "steps", "prev_cycles",
-                 "initial_cycles", "best_cycles", "best_sequence")
+    __slots__ = ("rng", "program_index", "features", "histogram", "applied",
+                 "indices", "steps", "prev_cycles", "initial_cycles",
+                 "best_cycles", "best_sequence")
 
     def __init__(self, rng: np.random.Generator) -> None:
         self.rng = rng
         self.program_index = 0
-        self.module = None
-        # module path: whether the last applied pass changed ``module``
-        self.changed: Optional[bool] = None
-        # raw feature vector of the lane's current state on the
-        # sequence-space path (the module-free feature observation)
+        # raw feature vector of the lane's current state, as the engine
+        # reported it; stays None under histogram-only observations
         self.features: Optional[np.ndarray] = None
         self.histogram = np.zeros(NUM_ACTIONS, dtype=np.int64)
         self.applied: List[int] = []
@@ -114,6 +102,13 @@ class VectorEnv:
     def _init_common(self, template, lanes: int) -> None:
         if lanes < 1:
             raise ValueError("need at least one lane")
+        if template.toolchain.engine is None:
+            raise ValueError(
+                f"{type(self).__name__} scores sequences through an "
+                f"evaluation engine (backend 'engine' or 'service'); "
+                f"HLSToolchain(use_engine=False) is the uncached reference "
+                f"façade — step it through the sequential "
+                f"{type(template).__name__} instead")
         self.template = template
         self.programs = template.programs
         self.toolchain = template.toolchain
@@ -123,10 +118,6 @@ class VectorEnv:
         self.normalization = template.normalization
         self.reward_mode = template.reward_mode
         self.wants_features = self.observation in ("features", "both")
-        # With an engine behind the toolchain, feature observations ride
-        # the engine's feature memo instead of a per-lane module; the
-        # benchmark flips this off to measure the legacy module path.
-        self.sequence_features = True
         self.lanes = [
             _Lane(template.rng if i == 0
                   else np.random.default_rng([template.seed, i]))
@@ -153,25 +144,19 @@ class VectorEnv:
     def observation_dim(self) -> int:
         return self.template.observation_dim
 
-    @property
-    def needs_module(self) -> bool:
-        """True when lanes must carry an incrementally optimized module —
-        feature observations with no engine behind the toolchain, or
-        with the sequence-space feature path explicitly disabled."""
-        return self.wants_features and (self.toolchain.engine is None
-                                        or not self.sequence_features)
-
     # -- scoring ------------------------------------------------------------
-    def _resolve_queries(self, queries: List[Query],
-                         want_features: bool = False) -> List[Optional[float]]:
-        """Engine-backed resolution of pending sequence queries, shared
-        by both env flavours: ``submit()`` future fan-out on the service
+    def _score_many(self, queries: List[Query]) -> List[Optional[float]]:
+        """Resolve all lanes' pending sequence queries in one shot, for
+        both env flavours: ``submit()`` future fan-out on the service
         backend, one deduplicating ``evaluate_batch`` per distinct
-        program otherwise. ``None`` where HLS compilation fails; callers
-        account ``evaluations``. With ``want_features`` each query's lane
-        additionally receives the raw feature vector of its new state
-        (``lane.features``) — including failed steps, whose features
-        come from a sample-free ``features_after``."""
+        program otherwise. Returns one objective value per query,
+        ``None`` where the sequence fails HLS compilation. Under feature
+        observations each query's lane additionally receives the raw
+        feature vector of its new state (``lane.features``) — including
+        failed steps, whose features come from a sample-free
+        ``features_after``."""
+        self.evaluations += len(queries)
+        want_features = self.wants_features
         engine = self.toolchain.engine
         submit = getattr(engine, "submit", None)
         if submit is not None:  # service backend: concurrent fan-out
@@ -214,64 +199,15 @@ class VectorEnv:
                     out[i] = row
         return out
 
-    def _score_many(self, queries: List[Query]) -> List[Optional[float]]:
-        """Resolve all lanes' pending sequence queries in one shot.
-        Returns one objective value per query, ``None`` where the
-        sequence fails HLS compilation."""
-        self.evaluations += len(queries)
-        if self.toolchain.engine is None or self.needs_module:
-            return [self._score_one(lane, seq) for lane, seq in queries]
-        return self._resolve_queries(queries, want_features=self.wants_features)
-
-    def _score_one(self, lane: _Lane, sequence: tuple) -> Optional[float]:
-        """Sequential scoring of one lane's working module — identical to
-        ``PhaseOrderEnv._measure`` (module-carrying lanes keep the
-        incremental ``evaluate_prepared`` path; no engine means the
-        uncached profile)."""
-        engine = self.toolchain.engine
-        try:
-            if engine is not None:
-                return engine.evaluate_prepared(
-                    self.programs[lane.program_index], sequence,
-                    lane.module, objective=self.objective,
-                    changed=lane.changed)
-            return self.toolchain.objective_value(lane.module, self.objective)
-        except HLSCompilationError:
-            return None
-
     # -- resets ---------------------------------------------------------------
     def _begin_reset(self, lane: _Lane, program_index: int) -> None:
         lane.program_index = program_index
         lane.histogram = np.zeros(NUM_ACTIONS, dtype=np.int64)
         lane.steps = 0
         lane.applied = []
-        if self.toolchain.engine is not None and not self.needs_module:
-            lane.module = None
-        else:
-            lane.module = clone_module(self.programs[program_index])
 
     def _reset_query(self, lane: _Lane) -> tuple:
         return ()
-
-    def _batchable_reset(self) -> bool:
-        return self.toolchain.engine is not None and not self.needs_module
-
-    def _measure_reset(self, lane: _Lane) -> float:
-        """Score the freshly reset lane; raises on HLS failure (the
-        sequential env's reset contract)."""
-        self.evaluations += 1
-        engine = self.toolchain.engine
-        program = self.programs[lane.program_index]
-        if engine is None:
-            return self.toolchain.objective_value(lane.module, self.objective)
-        if self.needs_module:
-            return engine.evaluate_prepared(program, (), lane.module,
-                                            objective=self.objective)
-        if self.wants_features:
-            value, lane.features = engine.evaluate_with_features(
-                program, (), objective=self.objective)
-            return value
-        return engine.evaluate(program, (), objective=self.objective)
 
     def _finish_reset(self, lane: _Lane, value: float) -> np.ndarray:
         lane.prev_cycles = value
@@ -286,11 +222,12 @@ class VectorEnv:
         """Start a fresh episode on one lane. Raises
         :class:`HLSCompilationError` when the base program itself fails,
         exactly like the sequential env's ``reset``."""
-        lane = self.lanes[lane_id]
-        if program_index is None:
-            program_index = int(lane.rng.integers(len(self.programs)))
-        self._begin_reset(lane, program_index)
-        return self._finish_reset(lane, self._measure_reset(lane))
+        observations = self.reset_wave({lane_id: program_index})
+        if lane_id not in observations:
+            raise HLSCompilationError(
+                f"initial sequence {self._reset_query(self.lanes[lane_id])!r} "
+                f"fails HLS compilation")
+        return observations[lane_id]
 
     def reset_wave(self, assignments: Dict[int, Optional[int]]
                    ) -> Dict[int, np.ndarray]:
@@ -307,24 +244,12 @@ class VectorEnv:
                 program_index = int(lane.rng.integers(len(self.programs)))
             self._begin_reset(lane, program_index)
             prepared.append(lane_id)
-        out: Dict[int, np.ndarray] = {}
-        if self._batchable_reset():
-            values = self._score_many(
-                [(self.lanes[i], self._reset_query(self.lanes[i]))
-                 for i in prepared])
-            for lane_id, value in zip(prepared, values):
-                if value is not None:
-                    out[lane_id] = self._finish_reset(self.lanes[lane_id],
-                                                      value)
-        else:
-            for lane_id in prepared:
-                lane = self.lanes[lane_id]
-                try:
-                    out[lane_id] = self._finish_reset(
-                        lane, self._measure_reset(lane))
-                except HLSCompilationError:
-                    pass
-        return out
+        values = self._score_many(
+            [(self.lanes[i], self._reset_query(self.lanes[i]))
+             for i in prepared])
+        return {lane_id: self._finish_reset(self.lanes[lane_id], value)
+                for lane_id, value in zip(prepared, values)
+                if value is not None}
 
     # -- gym-like lane protocol ---------------------------------------------
     def step_lanes(self, lane_ids: Sequence[int],
@@ -348,13 +273,6 @@ class VectorEnv:
                 continue
             lane.applied.append(pass_index)
             lane.histogram[pass_index] += 1
-            if self.needs_module or self.toolchain.engine is None:
-                try:
-                    lane.changed = self.toolchain.apply_passes(
-                        lane.module, [pass_index])
-                except HLSCompilationError:
-                    results[lane_id] = self._failure(lane)
-                    continue
             pending.append((lane, tuple(lane.applied)))
             pending_ids.append(lane_id)
         values = self._score_many(pending) if pending else []
@@ -378,24 +296,13 @@ class VectorEnv:
                 True, self._info(lane, failed=True))
 
     # -- observation / info --------------------------------------------------
-    def _raw_features(self, lane: _Lane) -> Optional[np.ndarray]:
-        """The lane's current raw 56-vector: the engine-supplied vector
-        on the sequence-space path, the cached front-door extraction of
-        the lane module otherwise."""
-        if not self.wants_features:
-            return None
-        if lane.module is not None:
-            return features_for(lane.module)
-        return lane.features
-
     def lane_raw_features(self, lane_id: int) -> np.ndarray:
-        """Public face of :meth:`_raw_features` (the importance-analysis
+        """The lane's current raw 56-vector (the importance-analysis
         collector records pre-step feature rows from it)."""
-        return self._raw_features(self.lanes[lane_id])
+        return self.lanes[lane_id].features
 
     def _observe(self, lane: _Lane) -> np.ndarray:
-        return phase_order_observation(self.observation,
-                                       self._raw_features(lane),
+        return phase_order_observation(self.observation, lane.features,
                                        lane.histogram, self.feature_indices,
                                        self.normalization)
 
@@ -437,43 +344,6 @@ class MultiActionVectorEnv(VectorEnv):
     def num_slots(self) -> int:
         return self.sequence_length
 
-    # -- scoring -------------------------------------------------------------
-    def _score_many(self, queries: List[Query]) -> List[Optional[float]]:
-        """Full-sequence scoring. With an engine behind the toolchain
-        every observation mode batches through the shared engine/service
-        dispatch — feature observations ride the engine's feature memo
-        (``want_features``), so no lane ever materializes a module.
-        The engine-less fallback and the forced module path keep the
-        sequential env's per-lane module semantics."""
-        self.evaluations += len(queries)
-        engine = self.toolchain.engine
-        if engine is None:
-            out = []
-            for lane, sequence in queries:
-                base = self.programs[lane.program_index]
-                lane.module = clone_module(base)
-                try:
-                    self.toolchain.apply_passes(lane.module, list(sequence))
-                    out.append(self.toolchain.cycle_count(lane.module))
-                except HLSCompilationError:
-                    out.append(None)
-            return out
-        if self.needs_module:
-            out = []
-            for lane, sequence in queries:
-                base = self.programs[lane.program_index]
-                try:
-                    value, lane.module = engine.evaluate_with_module(base,
-                                                                     sequence)
-                    out.append(value)
-                except HLSCompilationError:
-                    # Match the sequential env: the optimized module is in
-                    # place for the observation even when profiling failed.
-                    lane.module = engine.materialize(base, sequence)
-                    out.append(None)
-            return out
-        return self._resolve_queries(queries, want_features=self.wants_features)
-
     # -- resets ---------------------------------------------------------------
     def _begin_reset(self, lane: _Lane, program_index: int) -> None:
         lane.program_index = program_index
@@ -483,19 +353,6 @@ class MultiActionVectorEnv(VectorEnv):
 
     def _reset_query(self, lane: _Lane) -> tuple:
         return tuple(int(i) for i in lane.indices)
-
-    def _batchable_reset(self) -> bool:
-        # _score_many handles every backend (including engine-less) for
-        # full-sequence queries, so wave resets always batch.
-        return True
-
-    def _measure_reset(self, lane: _Lane) -> float:
-        value = self._score_many([(lane, self._reset_query(lane))])[0]
-        if value is None:
-            raise HLSCompilationError(
-                f"initial sequence {self._reset_query(lane)!r} fails HLS "
-                f"compilation")
-        return value
 
     def _finish_reset(self, lane: _Lane, value: float) -> np.ndarray:
         lane.prev_cycles = int(value)
@@ -537,8 +394,7 @@ class MultiActionVectorEnv(VectorEnv):
 
     # -- observation ---------------------------------------------------------
     def _observe(self, lane: _Lane) -> np.ndarray:
-        return multi_action_observation(self.observation,
-                                        self._raw_features(lane),
+        return multi_action_observation(self.observation, lane.features,
                                         lane.indices, self.feature_indices,
                                         self.normalization)
 

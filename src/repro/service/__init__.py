@@ -31,11 +31,11 @@ Opt in without code changes via ``HLSToolchain(backend="service")`` or
 :class:`~repro.service.client.EvaluationClient`.
 """
 
-from .client import EvaluationClient, ServiceConfig
+from .client import EvaluationClient
 from .fingerprint import program_fingerprint, toolchain_fingerprint
 from .server import EvaluationServer, request, resolve_program_spec
 from .store import ResultStore, default_store_dir
 
-__all__ = ["EvaluationClient", "ServiceConfig", "EvaluationServer",
-           "ResultStore", "default_store_dir", "program_fingerprint",
+__all__ = ["EvaluationClient", "EvaluationServer", "ResultStore",
+           "default_store_dir", "program_fingerprint",
            "toolchain_fingerprint", "request", "resolve_program_spec"]

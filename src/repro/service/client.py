@@ -70,7 +70,7 @@ from .worker import (
     worker_main,
 )
 
-__all__ = ["EvaluationClient", "ServiceConfig"]
+__all__ = ["EvaluationClient"]
 
 Action = Union[int, str]
 
@@ -88,21 +88,6 @@ def _default_workers() -> int:
         return max(0, int(os.environ.get("REPRO_SERVICE_WORKERS", "")))
     except ValueError:
         return max(1, min(4, os.cpu_count() or 1))
-
-
-class ServiceConfig:
-    """Bag of EvaluationClient knobs (importable, but plain kwargs work)."""
-
-    def __init__(self, workers: Optional[int] = None,
-                 store_dir: Optional[str] = None,
-                 engine_config: Optional[dict] = None) -> None:
-        self.workers = workers
-        self.store_dir = store_dir
-        self.engine_config = engine_config
-
-    def kwargs(self) -> Dict[str, Any]:
-        return {"workers": self.workers, "store_dir": self.store_dir,
-                "engine_config": self.engine_config}
 
 
 class _Program:
@@ -257,9 +242,7 @@ class EvaluationClient:
         toolchain_config = {
             "constraints": self.toolchain.profiler.constraints,
             "max_steps": self.toolchain.profiler.max_steps,
-            # worker engines keep their own batch pool serial — process
-            # parallelism is the service's job, not thread parallelism
-            "engine_config": {**self.engine_config, "max_workers": 1},
+            "engine_config": self.engine_config,
         }
         queue = self._mp_context.Queue()
         response_queue = self._mp_context.Queue()
@@ -645,9 +628,9 @@ class EvaluationClient:
                 self.persistent_hits += 1
                 futures[canonical].set_result(
                     (cached, self._upgrade_v1(prog, key, cached)))
-            # misses go through the local engine's own (thread-pooled)
-            # batch API: same throughput and BatchEvaluationError
-            # contract as the engine backend, then persist
+            # misses go through the local engine's own batch API: same
+            # throughput and BatchEvaluationError contract as the engine
+            # backend, then persist
             missing = [c for c, f in futures.items() if not f.done()]
             if missing:
                 rows = self.local.evaluate_batch(

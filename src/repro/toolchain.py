@@ -51,9 +51,12 @@ class HLSToolchain:
 
     ``REPRO_EVAL_BACKEND`` supplies the default, so whole experiment
     drivers switch backends from the environment. ``use_engine=False``
-    (the benchmarks' uncached baseline) always forces ``"none"`` and
-    restores the seed behaviour — one full clone + pass application +
-    profile per evaluation.
+    always forces ``"none"`` and restores the seed behaviour — one full
+    clone + pass application + profile per evaluation. That façade
+    (:meth:`cycle_count_with_passes`, :meth:`features_after`,
+    :meth:`apply_passes` + :meth:`profile`) is the uncached reference
+    every cache-soundness test compares against; the layers above it
+    (vectorized envs, trainer, policy runner) require an engine.
     """
 
     # Live toolchains, so CLI drivers can aggregate cache statistics over

@@ -147,7 +147,7 @@ class TestCacheCorrectness:
         # as a bare traceback indistinguishable from any other sequence.
         from repro.engine import BatchEvaluationError, canonicalize_sequence
 
-        tc = HLSToolchain(engine_config={"max_workers": 1})  # deterministic order
+        tc = HLSToolchain()
         program = benchmarks["gsm"]
         good, bogus = [38, 31], [NUM_TRANSFORMS + 1000]  # out-of-table index
         with pytest.raises(BatchEvaluationError) as excinfo:
@@ -770,10 +770,10 @@ class TestEffectiveSequence:
         assert churn.cache_info()["snapshot_evictions"] > 0
 
     def test_module_path_and_sequence_path_take_the_same_samples(self, benchmarks):
-        """`bench_features.py`'s ``identical_across_paths`` in the small:
-        the env's incremental module path (``evaluate_prepared`` fed the
-        pass manager's verdict), serial ``evaluate`` and the grouped
-        batch see the same queries and must profile the same ones."""
+        """The sequential env's incremental module path
+        (``evaluate_prepared`` fed the pass manager's verdict), serial
+        ``evaluate`` and the grouped batch see the same queries and must
+        profile the same ones."""
         from repro.rl.env import PhaseOrderEnv
 
         program = benchmarks["gsm"]

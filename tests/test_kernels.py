@@ -218,16 +218,17 @@ class TestVerifyMode:
             sim_kernels_mode("fast")
 
     def test_profiles_identical_across_modes(self, benchmarks):
-        module = benchmarks["qsort"]
-        reports = {mode: CycleProfiler(sim_kernels=mode).profile(module)
-                   for mode in ("off", "on", "verify")}
-        base = reports["off"]
-        for mode in ("on", "verify"):
-            r = reports[mode]
-            assert r.cycles == base.cycles, mode
-            assert r.states_by_block == base.states_by_block, mode
-            assert r.visits_by_block == base.visits_by_block, mode
-            assert r.execution.observable() == base.execution.observable(), mode
+        for name, module in benchmarks.items():
+            reports = {mode: CycleProfiler(sim_kernels=mode).profile(module)
+                       for mode in ("off", "on", "verify")}
+            base = reports["off"]
+            for mode in ("on", "verify"):
+                r, where = reports[mode], (name, mode)
+                assert r.cycles == base.cycles, where
+                assert r.states_by_block == base.states_by_block, where
+                assert r.visits_by_block == base.visits_by_block, where
+                assert r.execution.observable() == \
+                    base.execution.observable(), where
 
     def test_run_verified_passes_on_agreement(self, benchmarks):
         res = run_verified(benchmarks["matmul"])

@@ -493,10 +493,15 @@ class TestTrendGate:
         assert by_metric["cold_seconds"]["status"] == "ok"
 
     def test_committed_trajectories_pass(self):
+        """The repo commits no ``BENCH_*.json`` any more (the e2e
+        benchmark's history directory is to replace them): at the repo
+        root the gate must say there is nothing to read and pass, not
+        fail — and whatever a checkout does hold must not regress."""
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         entries = trend.check_trends(root)
-        assert entries  # the repo ships real trajectories
         assert not [e for e in entries if e["status"] == "regressed"]
+        assert entries or \
+            "no BENCH_*.json" in trend.render_trend_report(entries)
 
     def test_cli_exit_codes(self, tmp_path, capsys):
         from repro.cli import main
