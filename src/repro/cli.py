@@ -25,7 +25,6 @@
     python -m repro trace [list|show|export] [--trace ID] [--chrome]
                           [--out PATH] [--log PATH]
     python -m repro slo check --config PATH [--log PATH | --socket PATH]
-    python -m repro bench-trend [--root DIR] [--window N] [--tolerance F]
 
 All figure commands print the rendered artifact and write CSVs under
 ``results/`` (override with ``REPRO_RESULTS``). ``--cache-stats`` prints
@@ -49,8 +48,7 @@ live over ``--socket``). ``trace`` reads the span log written under
 and worker processes, plus Chrome trace-event export for Perfetto.
 ``slo check`` evaluates a declarative target config (p99 span latency,
 error rate, cache hit-rate) against the same telemetry and exits
-non-zero on violation; ``bench-trend`` gates the committed
-``BENCH_*.json`` trajectories against their trailing window.
+non-zero on violation.
 
 The deployment commands close the train → serve loop: ``train
 --register NAME`` stores the trained policy in the content-addressed
@@ -127,8 +125,8 @@ def _cmd_serve(args) -> int:
     client = server.toolchain.engine
     print(f"evaluation service on {args.socket} "
           f"(workers={client.workers}, store={client.store.root})")
-    print("ops: ping / evaluate / batch / stats / shutdown "
-          "(JSON lines; see repro.service.server)")
+    print("ops: ping / evaluate / batch / features / stats / metrics / "
+          "shutdown (JSON lines; see repro.service.server)")
     server.serve_forever()
     return 0
 
@@ -505,23 +503,6 @@ def _cmd_slo(args) -> int:
     return 0 if all(r.ok for r in results) else 1
 
 
-def _cmd_bench_trend(args) -> int:
-    import json
-
-    from .telemetry import trend
-
-    window = trend.DEFAULT_WINDOW if args.window is None else args.window
-    tolerance = (trend.DEFAULT_TOLERANCE if args.tolerance is None
-                 else args.tolerance)
-    entries = trend.check_trends(args.root, window=window,
-                                 tolerance=tolerance)
-    if args.json:
-        print(json.dumps(entries, indent=2, sort_keys=True))
-    else:
-        print(trend.render_trend_report(entries, verbose=args.verbose))
-    return 1 if any(e["status"] == "regressed" for e in entries) else 0
-
-
 def _cmd_cache(args) -> int:
     from .service.store import ResultStore
 
@@ -784,22 +765,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     psl.add_argument("--json", action="store_true",
                      help="print per-target results as JSON")
 
-    pbt = sub.add_parser("bench-trend",
-                         help="gate benchmark trajectories: flag metrics "
-                              "whose newest point regressed beyond tolerance "
-                              "vs the trailing window")
-    pbt.add_argument("--root", default=".",
-                     help="directory holding BENCH_*.json (default: .)")
-    pbt.add_argument("--window", type=int, default=None,
-                     help="trailing points to compare against (default 5)")
-    pbt.add_argument("--tolerance", type=float, default=None,
-                     help="allowed fractional slack beyond the window's "
-                          "worst point (default 0.25)")
-    pbt.add_argument("--json", action="store_true",
-                     help="print per-metric entries as JSON")
-    pbt.add_argument("--verbose", action="store_true",
-                     help="show every metric, not just regressions")
-
     pk = sub.add_parser("cache", help="manage the persistent result store")
     pk.add_argument("action", choices=["stats", "clear", "export"])
     pk.add_argument("--store", default=None,
@@ -824,9 +789,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "slo":
         return _cmd_slo(args)
-
-    if args.command == "bench-trend":
-        return _cmd_bench_trend(args)
 
     if args.command == "tables":
         print(render_table1())

@@ -9,8 +9,11 @@ turns them into served artifacts:
                                zero-sample inference + verified
                                ``optimize`` with -O3/search fallback
 :mod:`repro.deploy.server`     ``repro serve-policy`` — cross-request
-                               batched inference on a Unix socket
-:mod:`repro.deploy.client`     futures-based :class:`InferenceClient`
+                               batched inference on a Unix socket, an
+                               op table on :mod:`repro.transport`
+:mod:`repro.deploy.client`     futures-based :class:`InferenceClient`,
+                               the policy ops on a pipelined
+                               :class:`repro.transport.Connection`
 """
 
 from .client import InferenceClient, InferenceError

@@ -1,47 +1,44 @@
 """``repro serve-policy`` — batched policy inference on a Unix socket.
 
-The serving half of the deployment story: one process owns the loaded
-policies and the evaluation toolchain, and any number of concurrent
-clients ask it for pass orderings over a JSON-lines protocol::
+One process owns the loaded policies and the evaluation toolchain; any
+number of concurrent clients ask it for pass orderings over the
+JSON-lines protocol of :mod:`repro.transport` (pipelined, ``id`` echoed)::
 
-    {"op": "ping"}
     {"op": "infer", "policy": "prod", "program": "gsm", "id": 1}
                                  → {"ok": true, "sequence": [...], "id": 1}
     {"op": "optimize", "policy": "prod", "program": "gen:7", "refine": 8}
                                  → {"ok": true, "sequence": [...], "cycles": ...,
                                     "o3_cycles": ..., "source": "policy", ...}
-    {"op": "policies"} / {"op": "stats"} / {"op": "metrics"} / {"op": "shutdown"}
+    {"op": "policies"} / {"op": "stats"} / {"op": "ping"} / {"op": "metrics"}
+    {"op": "shutdown"}
 
-**Cross-request batching.** Handler threads never run the policy; they
-parse a request, enqueue it with a Future, and write the reply (tagged
-with the request's ``id``, possibly out of order) when the Future
-resolves — the same reader-thread discipline the evaluation service's
-client uses. One batcher thread drains the queue, groups pending
-requests by (policy, op), and serves each group as a single
+**Cross-request batching.** ``infer`` and ``optimize`` enqueue the
+request with a Future and the reply is written when it resolves. One
+batcher thread drains the queue, groups requests by (policy, op) and
+serves each group as one
 :meth:`~repro.deploy.policy.PolicyRunner.infer_batch` rollout — N
-concurrent clients cost one ``act_greedy_batch`` forward per rollout
-step, not N.
+concurrent clients cost one policy forward per rollout step, not N.
 
 **Graceful shutdown.** SIGTERM (or a ``shutdown`` op) stops accepting
 connections, lets the wave in flight finish and reply, fails every
-queued-but-unstarted Future with a clean "shutting down" error, and
-only then closes the toolchain.
+queued-but-unstarted request with :class:`ServerClosing`, and only then
+closes the toolchain.
 """
 
 from __future__ import annotations
 
-import json
-import os
+import contextlib
 import queue
-import socketserver
 import threading
 import time
 from concurrent.futures import Future
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .. import telemetry as tm
-from ..service.server import install_shutdown_signals, resolve_program_spec
+from ..service.server import ProgramCache
 from ..toolchain import HLSToolchain
+from ..transport import JsonLinesServer
 from .policy import PolicyRunner
 from .registry import ModelRegistry
 
@@ -52,90 +49,24 @@ class ServerClosing(RuntimeError):
     """Raised into Futures whose request was queued when shutdown began."""
 
 
+@dataclass
 class _Pending:
-    __slots__ = ("op", "policy", "program", "opts", "future", "enqueued",
-                 "trace")
-
-    def __init__(self, op: str, policy: str, program: str,
-                 opts: Tuple, future: Future, trace=None) -> None:
-        self.op = op
-        self.policy = policy
-        self.program = program
-        self.opts = opts
-        self.future = future
-        self.enqueued = time.monotonic()
-        # Trace context captured on the handler thread (request-borne
-        # ``"trace"`` pair, or the thread's own open span); the batcher
-        # thread re-attaches it — thread-locals don't cross the queue.
-        self.trace = trace
+    op: str
+    policy: str
+    program: str
+    opts: Tuple
+    future: Future
+    # Trace context captured on the handler thread; the batcher thread
+    # re-attaches it — thread-locals don't cross the queue.
+    trace: Optional[Tuple] = None
+    enqueued: float = field(default_factory=time.monotonic)
 
 
 _STOP = object()   # batcher sentinel: fail everything still queued, exit
+_CLOSING = "policy server is shutting down; request was not processed"
 
 
-class _Handler(socketserver.StreamRequestHandler):
-    def handle(self) -> None:
-        server: PolicyServer = self.server.policy_server
-        write_lock = threading.Lock()
-        pending: List[Future] = []
-
-        def reply(payload: Dict, request_id) -> None:
-            if request_id is not None:
-                payload = {**payload, "id": request_id}
-            data = (json.dumps(payload) + "\n").encode("utf-8")
-            try:
-                with write_lock:
-                    self.wfile.write(data)
-                    self.wfile.flush()
-            except (OSError, ValueError):   # client went away mid-reply
-                pass
-
-        for line in self.rfile:
-            line = line.strip()
-            if not line:
-                continue
-            request_id = None
-            try:
-                req = json.loads(line.decode("utf-8"))
-                request_id = req.get("id")
-                op = req.get("op")
-                if op in ("infer", "optimize"):
-                    future = server.enqueue(req)
-                    pending.append(future)
-                    future.add_done_callback(
-                        lambda fut, rid=request_id: reply(
-                            _future_payload(fut), rid))
-                    continue
-                out = server.handle_control(req)
-            except Exception as exc:    # malformed JSON, unknown policy, ...
-                out = {"ok": False, "error": repr(exc)}
-            reply(out, request_id)
-            if out.get("shutdown"):
-                threading.Thread(target=server.initiate_shutdown,
-                                 daemon=True).start()
-                break
-        # EOF with replies still in flight: give their callbacks a moment
-        # to write before the connection objects are torn down.
-        for future in pending:
-            try:
-                future.exception(timeout=60.0)
-            except Exception:
-                pass
-
-
-def _future_payload(future: Future) -> Dict:
-    try:
-        return {"ok": True, **future.result()}
-    except Exception as exc:
-        return {"ok": False, "error": str(exc) or repr(exc)}
-
-
-class _SocketServer(socketserver.ThreadingUnixStreamServer):
-    daemon_threads = True
-    allow_reuse_address = True
-
-
-class PolicyServer:
+class PolicyServer(JsonLinesServer):
     """Serve registry policies with cross-request batched inference."""
 
     def __init__(self, socket_path: str,
@@ -145,12 +76,11 @@ class PolicyServer:
                  default_policy: Optional[str] = None,
                  toolchain: Optional[HLSToolchain] = None,
                  allow_mismatch: bool = False) -> None:
-        self.socket_path = socket_path
         self.registry = registry or ModelRegistry(registry_root)
         self.toolchain = toolchain or HLSToolchain()
         self.allow_mismatch = allow_mismatch
         self._runners: Dict[str, PolicyRunner] = {}
-        self._modules: Dict[str, object] = {}
+        self._module = ProgramCache()
         self._lock = threading.Lock()
         if policies:
             for name in policies:
@@ -161,20 +91,16 @@ class PolicyServer:
                       "batched_requests": 0, "max_batch": 0, "errors": 0}
         self._queue: "queue.Queue" = queue.Queue()
         self._closing = False
-        self._closed = False
         self._batcher = threading.Thread(target=self._batch_loop,
                                          name="repro-policy-batcher",
                                          daemon=True)
         self._batcher.start()
-        if os.path.exists(socket_path):
-            os.remove(socket_path)
-        self._server = _SocketServer(socket_path, _Handler)
-        self._server.policy_server = self
-        # Long-lived process: leave a periodic metrics trail (no-op when
-        # REPRO_TELEMETRY is off).
-        tm.init_process()
+        super().__init__(socket_path, {
+            "policies": self._policies, "stats": self._stats,
+            "infer": self.enqueue, "optimize": self.enqueue,
+        }, span_prefix="policy.op", queued=("infer", "optimize"))
 
-    # -- policy / program resolution ----------------------------------------
+    # -- policy resolution ---------------------------------------------------
     def _runner(self, name: Optional[str]) -> PolicyRunner:
         if name is None:
             raise ValueError("no policy named in the request and the server "
@@ -188,16 +114,7 @@ class PolicyServer:
                 runner = self._runners.setdefault(name, runner)
         return runner
 
-    def _module(self, spec: str):
-        with self._lock:
-            module = self._modules.get(spec)
-        if module is None:
-            module = resolve_program_spec(spec)
-            with self._lock:
-                module = self._modules.setdefault(spec, module)
-        return module
-
-    # -- request intake ------------------------------------------------------
+    # -- ops -----------------------------------------------------------------
     def enqueue(self, req: Dict) -> Future:
         future: Future = Future()
         if "program" not in req:
@@ -205,88 +122,58 @@ class PolicyServer:
             return future
         opts = ((int(req.get("refine", 0)), int(req.get("seed", 0)))
                 if req["op"] == "optimize" else ())
-        # The closing check and the put share the lock close() takes
-        # before it enqueues the stop sentinel, so a request can never
-        # slip in behind _STOP and sit unresolved after the batcher
-        # exits — it is either ahead of the sentinel (drained/failed by
-        # the batcher) or rejected here.
+        # The closing check and the put share the lock close() takes to
+        # enqueue _STOP: a request is either ahead of the sentinel
+        # (served or failed by the batcher) or rejected here.
         with self._lock:
             if self._closing:
-                future.set_exception(ServerClosing(
-                    "policy server is shutting down; request was not "
-                    "processed"))
+                future.set_exception(ServerClosing(_CLOSING))
                 return future
             self.stats["requests"] += 1
-            trace = req.get("trace") if tm.trace_enabled() else None
-            if trace is None:
-                trace = tm.current_trace()
+            # the request-borne trace context the transport attached, or
+            # the caller's open span; the batcher re-attaches it
             self._queue.put(_Pending(req["op"],
                                      req.get("policy") or self.default_policy,
                                      str(req["program"]), opts, future,
-                                     trace=trace))
+                                     trace=tm.current_trace()))
         return future
 
-    def handle_control(self, req: Dict) -> Dict:
-        op = req.get("op")
-        # Control ops are a small fixed set, so per-op latency metric
-        # names stay bounded; under trace mode the span joins a
-        # request-borne trace context exactly like the eval server's.
-        with tm.attach_trace(req.get("trace")), \
-                tm.span(f"policy.op.{op if isinstance(op, str) else 'unknown'}"):
-            return self._control(op, req)
+    def _policies(self, req: Dict) -> Dict:
+        with self._lock:   # the batcher lazy-loads runners concurrently
+            loaded = sorted(self._runners)
+        return {"ok": True, "default": self.default_policy,
+                "loaded": loaded, "registry": self.registry.entries()}
 
-    def _control(self, op, req: Dict) -> Dict:
-        if op == "ping":
-            return {"ok": True, "pong": True}
-        if op == "shutdown":
-            return {"ok": True, "shutdown": True}
-        if op == "policies":
-            with self._lock:   # the batcher lazy-loads runners concurrently
-                loaded = sorted(self._runners)
-            return {"ok": True, "default": self.default_policy,
-                    "loaded": loaded, "registry": self.registry.entries()}
-        if op == "stats":
-            with self._lock:
-                stats = dict(self.stats)
-            stats["samples_taken"] = self.toolchain.samples_taken
-            return {"ok": True, "stats": stats}
-        if op == "metrics":
-            return {"ok": True, "telemetry": tm.mode(),
-                    "snapshots": tm.collect_snapshots()}
-        return {"ok": False, "error": f"unknown op {op!r}"}
+    def _stats(self, req: Dict) -> Dict:
+        with self._lock:
+            stats = dict(self.stats)
+        stats["samples_taken"] = self.toolchain.samples_taken
+        return {"ok": True, "stats": stats}
 
     # -- the batching core ----------------------------------------------------
     def _batch_loop(self) -> None:
         while True:
-            item = self._queue.get()
-            if item is _STOP:
+            batch = [self._queue.get()]
+            with contextlib.suppress(queue.Empty):
+                while batch[-1] is not _STOP:
+                    batch.append(self._queue.get_nowait())
+            # Shutdown behind a burst: the burst is in flight, everything
+            # after the sentinel fails.
+            stop = batch[-1] is _STOP
+            if stop:
+                batch.pop()
+            if batch:
+                self._run_batch(batch)
+            if stop:
                 self._fail_queued()
                 return
-            batch = [item]
-            while True:
-                try:
-                    extra = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if extra is _STOP:
-                    # Shutdown arrived behind a burst: the burst is
-                    # in flight, everything after the sentinel fails.
-                    self._run_batch(batch)
-                    self._fail_queued()
-                    return
-                batch.append(extra)
-            self._run_batch(batch)
 
     def _fail_queued(self) -> None:
-        while True:
-            try:
+        with contextlib.suppress(queue.Empty):
+            while True:
                 item = self._queue.get_nowait()
-            except queue.Empty:
-                return
-            if item is not _STOP:
-                item.future.set_exception(ServerClosing(
-                    "policy server is shutting down; request was not "
-                    "processed"))
+                if item is not _STOP:
+                    item.future.set_exception(ServerClosing(_CLOSING))
 
     def _run_batch(self, batch: List[_Pending]) -> None:
         tm.observe("policy.batch_size", len(batch))
@@ -303,50 +190,39 @@ class PolicyServer:
             except Exception as exc:
                 self._fail_items(items, exc)
                 continue
-            resolved: List[Tuple[_Pending, object]] = []
+            ready, modules = [], []
             for item in items:
                 try:
-                    resolved.append((item, self._module(item.program)))
+                    modules.append(self._module(item.program))
+                    ready.append(item)
                 except Exception as exc:
                     self._fail_items([item], exc)
-            if not resolved:
+            if not ready:
                 continue
-            modules = [module for _, module in resolved]
             before = runner.forwards
-            # One wave can coalesce requests from several traces; the
-            # wave span joins the first traced request (the others are
-            # recorded as an attribute so their waterfalls still find
-            # the wave).
-            ctx = next((item.trace for item, _ in resolved if item.trace),
-                       None)
-            traces = [item.trace[0] for item, _ in resolved if item.trace]
+            # One wave can coalesce requests from several traces: the
+            # wave span joins the first and counts them all.
+            traces = [item.trace for item in ready if item.trace]
             try:
-                if op == "infer":
-                    with tm.attach_trace(ctx), \
-                            tm.span("policy.infer", batch=len(modules),
-                                    traces=len(traces)):
-                        sequences = runner.infer_batch(modules)
-                    results = [{"sequence": [int(a) for a in seq]}
-                               for seq in sequences]
-                else:
-                    refine, seed = opts
-                    with tm.attach_trace(ctx), \
-                            tm.span("policy.optimize", batch=len(modules),
-                                    traces=len(traces)):
-                        decisions = runner.optimize_batch(
-                            modules, refine=refine, seed=seed)
-                    results = [d.to_json() for d in decisions]
+                with tm.attach_trace(traces[0] if traces else None), tm.span(
+                        f"policy.{op}", batch=len(modules), traces=len(traces)):
+                    if op == "infer":
+                        results = [{"sequence": [int(a) for a in seq]}
+                                   for seq in runner.infer_batch(modules)]
+                    else:
+                        results = [d.to_json() for d in runner.optimize_batch(
+                            modules, refine=opts[0], seed=opts[1])]
             except Exception as exc:
-                self._fail_items([item for item, _ in resolved], exc)
+                self._fail_items(ready, exc)
                 continue
             with self._lock:
                 self.stats["waves"] += 1
                 self.stats["forwards"] += runner.forwards - before
                 self.stats["max_batch"] = max(self.stats["max_batch"],
-                                              len(resolved))
-                if len(resolved) > 1:
-                    self.stats["batched_requests"] += len(resolved)
-            for (item, _), result in zip(resolved, results):
+                                              len(ready))
+                if len(ready) > 1:
+                    self.stats["batched_requests"] += len(ready)
+            for item, result in zip(ready, results):
                 item.future.set_result(result)
 
     def _fail_items(self, items: List[_Pending], exc: Exception) -> None:
@@ -357,49 +233,18 @@ class PolicyServer:
                 item.future.set_exception(exc)
 
     # -- lifecycle -----------------------------------------------------------
-    def serve_forever(self) -> None:
-        """Block serving requests until SIGTERM, a shutdown op, or
-        KeyboardInterrupt; drains in-flight work before returning."""
-        restore = install_shutdown_signals(self.initiate_shutdown)
-        try:
-            self._server.serve_forever()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            restore()
-            self.close()
-
     def initiate_shutdown(self) -> None:
-        """Begin a graceful stop from any thread (signal handler, the
-        shutdown op): new requests are rejected, the accept loop stops,
-        queued futures fail cleanly."""
+        """Graceful stop from any thread or a signal handler: new
+        requests are rejected and the accept loop stops."""
         self._closing = True
-        # shutdown() blocks until serve_forever exits, so never call it
-        # from a handler thread directly.
-        threading.Thread(target=self._server.shutdown, daemon=True).start()
+        super().initiate_shutdown()
 
     def close(self, timeout: float = 30.0) -> None:
-        """Stop the batcher (finishing the wave in flight), fail queued
-        requests, and release the socket + toolchain. Idempotent."""
+        """Finish the wave in flight, fail queued requests, then drain
+        replies and release the socket + toolchain. Idempotent."""
         with self._lock:    # pairs with enqueue(): nothing lands after _STOP
-            if self._closed:
-                return
-            self._closed = True
-            self._closing = True
-            self._queue.put(_STOP)
+            if not self._closed:
+                self._closing = True
+                self._queue.put(_STOP)
         self._batcher.join(timeout=timeout)
-        self._server.server_close()
-        if os.path.exists(self.socket_path):
-            try:
-                os.remove(self.socket_path)
-            except OSError:
-                pass
-        engine_close = getattr(self.toolchain.engine, "close", None)
-        if engine_close is not None:
-            engine_close()
-
-    def __enter__(self) -> "PolicyServer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        super().close(drain_timeout=timeout)

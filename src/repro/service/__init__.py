@@ -17,8 +17,10 @@ and one run. Three layers, all behind the same engine interface:
   the black-box baselines and the experiment drivers, including
   concurrent runs (append-only, torn-line-tolerant).
 * **Standing service** (:mod:`.server`): ``repro serve`` exposes the
-  whole stack on a Unix socket with a JSON-lines protocol, so many
-  short-lived processes can share one warm pool and store.
+  whole stack on a Unix socket through the JSON-lines transport it
+  shares with ``repro serve-policy`` (:mod:`repro.transport`: pipelined
+  requests, ``id`` echoed), so many short-lived processes can share one
+  warm pool and store; :func:`request` is the one-shot client.
 
 Invariants inherited from the engine layer: results are bit-identical
 to ``HLSToolchain(use_engine=False)``, cache hits (in-memory *or*

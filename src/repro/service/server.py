@@ -1,71 +1,38 @@
 """``repro serve`` — a standing evaluation service on a Unix socket.
 
-The long-running half of the service story: one process owns the worker
-pool and the persistent store, and any number of short-lived clients
-(training drivers, sweep scripts, shells) query it over a JSON-lines
-protocol without paying interpreter/program warm-up per run.
+One process owns the worker pool and the persistent store; short-lived
+clients (training drivers, sweep scripts, shells) query it over the
+JSON-lines protocol of :mod:`repro.transport` (pipelined, ``id``
+echoed) without paying warm-up per run. Programs are addressed by
+*spec*: a CHStone name (``gsm``) or ``gen:<seed>``, each built once per
+server however many requests race for it.
 
-Protocol: one JSON object per line, one reply per request, multiple
-requests per connection. Programs are addressed by *spec*, not pickled
-bytes, so any process that can open the socket can query:
-
-    {"op": "ping"}
     {"op": "evaluate", "program": "gsm", "sequence": [38, 31],
-     "objective": "cycles"}                    → {"ok": true, "value": ...}
+     "objective": "cycles", "id": 1}       → {"ok": true, "value": ..., "id": 1}
     {"op": "batch", "program": "gen:7", "sequences": [[38], [38, 31]]}
-                                               → {"ok": true, "values": [...]}
+                                           → {"ok": true, "values": [...]}
     {"op": "features", "program": "gsm", "sequence": [38, 31]}
-                                               → {"ok": true, "features": [...]}
-    {"op": "stats"}                            → cache_info + store stats
-                                                 + per-worker utilization
-    {"op": "metrics"}                          → live telemetry snapshots
-    {"op": "shutdown"}
+                                           → {"ok": true, "features": [...]}
+    {"op": "stats"}                        → cache_info + store stats
+                                             + per-worker utilization
+    {"op": "ping"} / {"op": "metrics"} / {"op": "shutdown"}
 
-Program specs: a CHStone benchmark name (``gsm``) or ``gen:<seed>`` for
-a :class:`~repro.programs.generator.RandomProgramGenerator` program.
 Failing sequences evaluate to ``value: null`` (the batch-penalty
 convention), never an error reply.
 """
 
 from __future__ import annotations
 
-import contextlib
-import json
-import os
-import signal
-import socket
-import socketserver
 import threading
-import time
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from .. import telemetry as tm
 from ..hls.profiler import HLSCompilationError
 from ..ir.module import Module
+from ..transport import JsonLinesServer, request
 
-__all__ = ["EvaluationServer", "install_shutdown_signals", "request",
+__all__ = ["EvaluationServer", "ProgramCache", "request",
            "resolve_program_spec"]
-
-
-def install_shutdown_signals(initiate: Callable[[], None]) -> Callable[[], None]:
-    """Route SIGTERM/SIGINT to a graceful server stop.
-
-    ``initiate`` must be safe to call from a signal handler (set a flag,
-    kick a thread — never block). Returns a restore callable that puts
-    the previous handlers back; a no-op outside the main thread, where
-    the ``signal`` module refuses to install handlers."""
-    if threading.current_thread() is not threading.main_thread():
-        return lambda: None
-    previous = {}
-    for sig in (signal.SIGTERM, signal.SIGINT):
-        previous[sig] = signal.signal(
-            sig, lambda signum, frame: initiate())
-
-    def restore() -> None:
-        for sig, handler in previous.items():
-            signal.signal(sig, handler)
-
-    return restore
 
 
 def resolve_program_spec(spec: str) -> Module:
@@ -82,32 +49,23 @@ def resolve_program_spec(spec: str) -> Module:
                    f"{chstone.BENCHMARK_NAMES} or 'gen:<seed>'")
 
 
-class _Handler(socketserver.StreamRequestHandler):
-    def handle(self) -> None:
-        evaluation_server = self.server.evaluation_server
-        for line in self.rfile:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                with evaluation_server._track_request():
-                    reply = evaluation_server.handle_request(
-                        json.loads(line.decode("utf-8")))
-            except Exception as exc:  # malformed JSON, unknown spec, ...
-                reply = {"ok": False, "error": repr(exc)}
-            self.wfile.write((json.dumps(reply) + "\n").encode("utf-8"))
-            self.wfile.flush()
-            if reply.get("shutdown"):
-                evaluation_server.initiate_shutdown()
-                return
+class ProgramCache:
+    """Spec → module, built once: concurrent first requests wait for one
+    build instead of each registering its own program with the engine."""
+
+    def __init__(self) -> None:
+        self._modules: Dict[str, Module] = {}
+        self._lock = threading.Lock()
+
+    def __call__(self, spec: str) -> Module:
+        with self._lock:
+            module = self._modules.get(spec)
+            if module is None:
+                module = self._modules[spec] = resolve_program_spec(spec)
+            return module
 
 
-class _SocketServer(socketserver.ThreadingUnixStreamServer):
-    daemon_threads = True
-    allow_reuse_address = True
-
-
-class EvaluationServer:
+class EvaluationServer(JsonLinesServer):
     """Owns a service-backed toolchain and serves spec-addressed queries."""
 
     def __init__(self, socket_path: str, workers: Optional[int] = None,
@@ -115,161 +73,53 @@ class EvaluationServer:
                  toolchain=None) -> None:
         from ..toolchain import HLSToolchain
 
-        self.socket_path = socket_path
         self.toolchain = toolchain or HLSToolchain(
             backend="service",
             service_config={"workers": workers, "store_dir": store_dir})
-        self._modules: Dict[str, Module] = {}
-        # Graceful-shutdown accounting: requests being evaluated right
-        # now. close() drains this to zero before tearing the engine
-        # down, so SIGTERM never kills an evaluation mid-reply.
-        self._inflight = 0
-        self._drained = threading.Condition()
-        if os.path.exists(socket_path):
-            os.remove(socket_path)
-        self._server = _SocketServer(socket_path, _Handler)
-        self._server.evaluation_server = self
-        # Long-lived process: leave a periodic metrics trail (no-op when
-        # REPRO_TELEMETRY is off).
-        tm.init_process()
+        self._module = ProgramCache()
+        super().__init__(socket_path, {
+            "stats": self._stats, "evaluate": self._evaluate,
+            "batch": self._batch, "features": self._features,
+        }, span_prefix="server.op")
 
-    @contextlib.contextmanager
-    def _track_request(self):
-        with self._drained:
-            self._inflight += 1
-            tm.gauge_set("server.inflight", self._inflight)
-        try:
-            yield
-        finally:
-            with self._drained:
-                self._inflight -= 1
-                tm.gauge_set("server.inflight", self._inflight)
-                self._drained.notify_all()
-
-    def _module(self, spec: str) -> Module:
-        module = self._modules.get(spec)
-        if module is None:
-            module = self._modules[spec] = resolve_program_spec(spec)
-        return module
-
-    def handle_request(self, req: Dict) -> Dict:
-        op = req.get("op")
-        # Per-op latency histograms: op names are a small fixed set, so
-        # the metric-name cardinality stays bounded. Under trace mode
-        # the op span is a trace entry point: it joins the caller's
-        # trace when the request carries a ``"trace": [trace_id,
-        # span_id]`` pair (ignored tolerantly otherwise) and mints a
-        # fresh trace id when not, so every downstream span — service
-        # client dispatch, worker evaluation — shares one trace.
-        with tm.attach_trace(req.get("trace")), \
-                tm.span(f"server.op.{op if isinstance(op, str) else 'unknown'}"):
-            return self._dispatch(op, req)
-
-    def _dispatch(self, op, req: Dict) -> Dict:
-        if op == "ping":
-            return {"ok": True, "pong": True}
-        if op == "shutdown":
-            return {"ok": True, "shutdown": True}
-        if op == "stats":
-            info = self.toolchain.cache_info()
-            info["samples_taken"] = self.toolchain.samples_taken
-            store = getattr(self.toolchain.engine, "store", None)
-            reply = {"ok": True, "cache": info,
-                     "store": store.stats() if store is not None else {}}
-            # Per-worker utilization incl. respawn history (service
-            # backend only; the plain engine has no workers to report).
-            worker_info = getattr(self.toolchain.engine, "worker_info", None)
-            if worker_info is not None:
-                reply["workers"] = worker_info()
-            return reply
-        if op == "metrics":
-            # Live telemetry: this process's registry plus the worker
-            # snapshots the service client holds on the workers' behalf.
-            return {"ok": True, "telemetry": tm.mode(),
-                    "snapshots": tm.collect_snapshots()}
-        if op == "evaluate":
-            module = self._module(req["program"])
-            try:
-                value = self.toolchain.engine.evaluate(
-                    module, req["sequence"],
-                    objective=req.get("objective", "cycles"),
+    def _options(self, req: Dict) -> Dict:
+        return dict(objective=req.get("objective", "cycles"),
                     area_weight=req.get("area_weight", 0.05),
                     entry=req.get("entry", "main"))
-            except HLSCompilationError:
-                value = None
-            return {"ok": True, "value": value}
-        if op == "batch":
-            module = self._module(req["program"])
-            tm.observe("server.batch_size", len(req["sequences"]))
-            values = self.toolchain.engine.evaluate_batch(
-                module, req["sequences"],
-                objective=req.get("objective", "cycles"),
-                area_weight=req.get("area_weight", 0.05),
-                entry=req.get("entry", "main"))
-            return {"ok": True, "values": values}
-        if op == "features":
-            # The observation function as a service query: Table-2
-            # features after a pass sequence, answered from the feature
-            # memo / persistent records when warm; never costs a sample.
-            module = self._module(req["program"])
-            feats = self.toolchain.engine.features_after(
-                module, req.get("sequence", []))
-            return {"ok": True, "features": [int(x) for x in feats]}
-        return {"ok": False, "error": f"unknown op {op!r}"}
 
-    def serve_forever(self) -> None:
-        """Block serving requests until SIGTERM, a shutdown op, or
-        KeyboardInterrupt; in-flight evaluations drain before the
-        engine closes."""
-        restore = install_shutdown_signals(self.initiate_shutdown)
+    def _stats(self, req: Dict) -> Dict:
+        engine = self.toolchain.engine
+        info = dict(self.toolchain.cache_info(),
+                    samples_taken=self.toolchain.samples_taken)
+        store = getattr(engine, "store", None)
+        reply = {"ok": True, "cache": info,
+                 "store": store.stats() if store is not None else {}}
+        # Per-worker utilization incl. respawn history (service backend
+        # only; the plain engine has no workers to report).
+        if hasattr(engine, "worker_info"):
+            reply["workers"] = engine.worker_info()
+        return reply
+
+    def _evaluate(self, req: Dict) -> Dict:
+        module = self._module(req["program"])
         try:
-            self._server.serve_forever()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            restore()
-            self.close()
+            value = self.toolchain.engine.evaluate(
+                module, req["sequence"], **self._options(req))
+        except HLSCompilationError:
+            value = None
+        return {"ok": True, "value": value}
 
-    def initiate_shutdown(self) -> None:
-        """Begin a graceful stop from any thread or a signal handler:
-        stop accepting connections; close() then drains in-flight
-        requests. shutdown() blocks until serve_forever() exits (which
-        can wait on the calling handler), so it runs on a helper
-        thread."""
-        threading.Thread(target=self._server.shutdown, daemon=True).start()
+    def _batch(self, req: Dict) -> Dict:
+        module = self._module(req["program"])
+        tm.observe("server.batch_size", len(req["sequences"]))
+        values = self.toolchain.engine.evaluate_batch(
+            module, req["sequences"], **self._options(req))
+        return {"ok": True, "values": values}
 
-    def close(self, drain_timeout: float = 30.0) -> None:
-        self._server.server_close()
-        # Drain: connections accepted before shutdown may still be mid
-        # evaluation; give them their replies before the engine dies.
-        deadline = time.monotonic() + drain_timeout
-        with self._drained:
-            while self._inflight > 0:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or not self._drained.wait(timeout=remaining):
-                    break
-        close = getattr(self.toolchain.engine, "close", None)
-        if close is not None:
-            close()
-        if os.path.exists(self.socket_path):
-            try:
-                os.remove(self.socket_path)
-            except OSError:
-                pass
-
-
-def request(socket_path: str, payload: Dict, timeout: float = 60.0) -> Dict:
-    """One-shot client helper: send one request line, read one reply."""
-    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
-        sock.settimeout(timeout)
-        sock.connect(socket_path)
-        sock.sendall((json.dumps(payload) + "\n").encode("utf-8"))
-        chunks = []
-        while True:
-            chunk = sock.recv(65536)
-            if not chunk:
-                break
-            chunks.append(chunk)
-            if chunk.endswith(b"\n"):
-                break
-    return json.loads(b"".join(chunks).decode("utf-8"))
+    def _features(self, req: Dict) -> Dict:
+        # Table-2 features after a pass sequence, answered from the
+        # feature memo / persistent records when warm; never a sample.
+        module = self._module(req["program"])
+        feats = self.toolchain.engine.features_after(
+            module, req.get("sequence", []))
+        return {"ok": True, "features": [int(x) for x in feats]}

@@ -427,7 +427,7 @@ class TestPolicyServer:
         assert not thread.is_alive()
 
     def test_signal_installer_routes_sigterm(self):
-        from repro.service.server import install_shutdown_signals
+        from repro.transport import install_shutdown_signals
 
         fired = threading.Event()
         restore = install_shutdown_signals(fired.set)

@@ -1,9 +1,8 @@
 """Distributed request tracing and its gates: trace-context minting /
 inheritance / remote attach, cross-process propagation through the
 evaluation service, fork hygiene, the flight recorder, the snapshot
-schema gate, Chrome trace export, the SLO checker, the benchmark trend
-gate, and the ``repro trace`` / ``slo`` / ``bench-trend`` / ``stats
---watch`` CLI surfaces."""
+schema gate, Chrome trace export, the SLO checker, and the ``repro
+trace`` / ``slo`` / ``stats --watch`` CLI surfaces."""
 
 import json
 import os
@@ -13,7 +12,7 @@ import time
 import pytest
 
 from repro import telemetry as tm
-from repro.telemetry import slo, trace, trend
+from repro.telemetry import slo, trace
 from repro.telemetry.render import aggregate
 from repro.toolchain import HLSToolchain
 
@@ -463,65 +462,6 @@ class TestSLOGate:
                      "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload[0]["ok"] is False
-
-
-class TestTrendGate:
-    def _write(self, tmp_path, name, runs):
-        with open(tmp_path / f"BENCH_{name}.json", "w") as fh:
-            json.dump(runs, fh)
-
-    def test_regression_is_flagged(self, tmp_path):
-        self._write(tmp_path, "synth", [
-            [{"name": "eval_seconds", "unit": "s", "value": v}]
-            for v in (1.0, 1.1, 0.9, 1.0, 2.0)])  # newest doubled
-        entries = trend.check_trends(str(tmp_path))
-        (entry,) = [e for e in entries if e["status"] == "regressed"]
-        assert entry["metric"] == "eval_seconds"
-        report = trend.render_trend_report(entries)
-        assert "regressed" in report and "eval_seconds" in report
-
-    def test_throughput_drop_is_flagged_and_noise_is_not(self, tmp_path):
-        self._write(tmp_path, "throughput", [
-            [{"name": "profiles_per_sec", "unit": "profiles/s", "value": v}]
-            for v in (100.0, 95.0, 105.0, 40.0)])  # newest collapsed
-        self._write(tmp_path, "noisy", [
-            [{"name": "cold_seconds", "unit": "s", "value": v}]
-            for v in (2.2, 0.47, 2.1, 0.5)])  # within the trailing band
-        by_metric = {e["metric"]: e
-                     for e in trend.check_trends(str(tmp_path))}
-        assert by_metric["profiles_per_sec"]["status"] == "regressed"
-        assert by_metric["cold_seconds"]["status"] == "ok"
-
-    def test_committed_trajectories_pass(self):
-        """The repo commits no ``BENCH_*.json`` any more (the e2e
-        benchmark's history directory is to replace them): at the repo
-        root the gate must say there is nothing to read and pass, not
-        fail — and whatever a checkout does hold must not regress."""
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        entries = trend.check_trends(root)
-        assert not [e for e in entries if e["status"] == "regressed"]
-        assert entries or \
-            "no BENCH_*.json" in trend.render_trend_report(entries)
-
-    def test_cli_exit_codes(self, tmp_path, capsys):
-        from repro.cli import main
-
-        self._write(tmp_path, "ok", [
-            [{"name": "eval_seconds", "unit": "s", "value": v}]
-            for v in (1.0, 1.05, 0.98)])
-        assert main(["bench-trend", "--root", str(tmp_path)]) == 0
-        capsys.readouterr()
-        self._write(tmp_path, "bad", [
-            [{"name": "other_seconds", "unit": "s", "value": v}]
-            for v in (1.0, 1.0, 5.0)])
-        assert main(["bench-trend", "--root", str(tmp_path)]) == 1
-        assert "other_seconds" in capsys.readouterr().out
-        assert main(["bench-trend", "--root", str(tmp_path),
-                     "--json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        statuses = {e["metric"]: e["status"] for e in payload}
-        assert statuses["other_seconds"] == "regressed"
-        assert statuses["eval_seconds"] == "ok"
 
 
 class TestStatsPlaceholder:
