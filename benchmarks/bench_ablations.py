@@ -16,7 +16,7 @@ import pytest
 from repro.rl.agents import train_agent
 from repro.toolchain import HLSToolchain
 
-from .conftest import emit
+from conftest import emit
 
 
 @pytest.fixture(scope="module")

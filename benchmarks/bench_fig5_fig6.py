@@ -6,7 +6,7 @@ import pytest
 from repro.experiments.fig5_fig6 import run_fig5_fig6
 from repro.passes.registry import NUM_TRANSFORMS
 
-from .conftest import emit, shape
+from conftest import emit, shape
 
 
 @pytest.fixture(scope="module")

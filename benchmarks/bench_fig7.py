@@ -11,7 +11,7 @@ import pytest
 
 from repro.experiments.fig7 import ALGORITHM_ORDER, run_fig7
 
-from .conftest import emit, shape
+from conftest import emit, shape
 
 
 @pytest.fixture(scope="module")

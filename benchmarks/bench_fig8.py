@@ -6,7 +6,7 @@ import pytest
 
 from repro.experiments.fig8 import VARIANTS, run_fig8
 
-from .conftest import emit, shape
+from conftest import emit, shape
 
 
 @pytest.fixture(scope="module")

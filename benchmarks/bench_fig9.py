@@ -6,7 +6,7 @@ import pytest
 
 from repro.experiments.fig9 import run_fig9
 
-from .conftest import emit, shape
+from conftest import emit, shape
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,7 @@ from repro.features.table import FEATURE_NAMES
 from repro.passes.registry import PASS_TABLE
 from repro.rl.agents import TABLE3
 
-from .conftest import emit
+from conftest import emit
 
 
 def test_table1(benchmark):

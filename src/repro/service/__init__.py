@@ -4,12 +4,12 @@ Scales the :class:`~repro.engine.EvaluationEngine` beyond one process
 and one run. Three layers, all behind the same engine interface:
 
 * **Sharded workers** (:mod:`.worker`, :mod:`.client`): programs are
-  sharded across a pool of worker processes by program fingerprint;
-  each worker owns a private ``HLSToolchain`` + ``EvaluationEngine``,
-  so prefix-trie locality stays per-program per-worker and the GIL
-  stops bounding batch throughput. Duplicate in-flight requests are
-  coalesced onto one Future; per-worker submissions are batched into
-  single messages.
+  sharded across worker processes by program fingerprint; each runs
+  one :class:`~.worker.Shard` (evaluate, append to the store, reply) on
+  a private engine, and ``workers=0`` runs the same shard in-process.
+  The client alone decides what is known: persistent hits resolve at
+  once, duplicate in-flight requests share one Future, and the rest of
+  a submission travels to its shard as one message.
 * **Persistent store** (:mod:`.store`, :mod:`.fingerprint`): every
   result is appended to an on-disk JSONL shard keyed by
   ``(program fingerprint, toolchain fingerprint)`` and sequence —

@@ -8,23 +8,28 @@ so ``HLSToolchain(backend="service")`` can install it as
 ``SequenceEvaluator``, both RL environments, the experiment drivers —
 opts in without code changes.
 
-Layering, outermost first:
+Layering, outermost first — every value query (``submit``,
+``evaluate``, ``evaluate_with_features``, ``evaluate_batch``) takes one
+path through the first three:
 
 1. **Persistent map** — per registered program, the on-disk store shard
    loaded at registration plus everything resolved since: objective
-   values *and* post-sequence feature vectors (schema-v2 records; v1
-   cycle-only records are served value-only with features recomputed on
-   demand). Hits answer instantly, cost zero simulator samples, and
-   survive across runs and between concurrent processes sharing one
-   store root.
+   values *and* post-sequence feature vectors (schema-v2 records). Hits
+   answer instantly, cost zero simulator samples, and survive across
+   runs and between concurrent processes sharing one store root. A v1
+   (cycle-only) record is a hit too; its features come from
+   :meth:`EvaluationClient.features_after`, which appends the upgraded
+   v2 record.
 2. **In-flight coalescing** — duplicate concurrent requests for one
    ``(program, sequence, objective)`` share a single
    :class:`~concurrent.futures.Future`; only the first dispatches.
-3. **Sharded workers** — programs are sharded onto worker processes by
-   program fingerprint (``int(fp, 16) % workers``), so one program's
+3. **One shard per program** — everything else travels as one message
+   to the program's :class:`~repro.service.worker.Shard`, which
+   evaluates and appends to the store. Programs map to worker processes
+   by program fingerprint (``int(fp, 16) % workers``), so one program's
    prefix-trie locality stays within one worker's private engine.
-   Batch submissions travel as one message per worker. ``workers=0``
-   degrades to a fully in-process client (same store semantics, no IPC).
+   ``workers=0`` calls an in-process shard on the local engine instead
+   of a queue; the reply takes the same road back.
 4. **Local engine** — module-returning paths (``materialize``,
    ``evaluate_with_module``, the RL envs' ``evaluate_prepared``) run on
    an in-process engine, because shipping mutated modules across
@@ -44,6 +49,7 @@ import itertools
 import os
 import threading
 import time
+import traceback
 from concurrent.futures import Future
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -66,6 +72,7 @@ from .worker import (
     MSG_REGISTER,
     MSG_SHUTDOWN,
     MSG_STATS,
+    Shard,
     dumps_module,
     worker_main,
 )
@@ -81,6 +88,17 @@ def _feature_array(feat) -> np.ndarray:
     arr = np.asarray(feat, dtype=np.int64)
     arr.setflags(write=False)
     return arr
+
+
+def _settle(future: Future, canonical: Tuple, value: Any,
+            feats: Optional[np.ndarray], want_features: bool) -> Future:
+    """Resolve ``future`` with a known value or failure sentinel."""
+    failure = _cached_failure(value, canonical)
+    if failure is not None:
+        future.set_exception(failure)
+    else:
+        future.set_result((value, feats) if want_features else value)
+    return future
 
 
 def _default_workers() -> int:
@@ -156,6 +174,9 @@ class EvaluationClient:
         self.store = ResultStore(store_dir)
         self.local = EvaluationEngine(toolchain, **self.engine_config)
         self.toolchain_fp = toolchain_fingerprint(toolchain)
+        # the shard of workers=0: the local engine already counts its
+        # samples on the owning toolchain
+        self._shard = Shard(self.local, self.store, self.toolchain_fp)
 
         self._lock = threading.RLock()
         self._programs: Dict[int, _Program] = {}
@@ -163,10 +184,11 @@ class EvaluationClient:
         # want_features) — feature appetite partitions coalescing, so a
         # value-only waiter never receives a (value, features) pair
         self._inflight: Dict[Tuple[str, StoreKey, bool], Future] = {}
-        # request id → (worker id, [(fullkey, future), ...], send ts) so
-        # a dead worker's in-flight requests can be failed rather than
-        # hang, and replies can report the IPC round-trip latency
-        self._pending: Dict[int, Tuple[int, List[Tuple[Tuple[str, StoreKey, bool], Future]], float]] = {}
+        # request id → (worker id, None for the in-process shard,
+        # [(fullkey, future), ...], send ts) so a dead worker's in-flight
+        # requests can be failed rather than hang, and replies can report
+        # the round-trip latency
+        self._pending: Dict[int, Tuple[Optional[int], List[Tuple[Tuple[str, StoreKey, bool], Future]], float]] = {}
         self._stats_pending: Dict[int, Future] = {}
         self._request_ids = itertools.count()
         self._handles: List[_WorkerHandle] = []
@@ -205,6 +227,7 @@ class EvaluationClient:
                 fingerprint = program_fingerprint(program)
                 worker_id = int(fingerprint, 16) % self.workers if self.workers else 0
                 prog = _Program(program, fingerprint, worker_id)
+                self._shard.register(id(program), fingerprint, program)
                 values, features = self.store.load_with_features(
                     fingerprint, self.toolchain_fp)
                 prog.persisted.update(values)
@@ -365,117 +388,137 @@ class EvaluationClient:
         if send_ts is not None:
             tm.observe("service.roundtrip.seconds",
                        max(0.0, time.monotonic() - send_ts))
-        for payload, (fullkey, future) in zip(results, waiters):
+        for (tag, first, second), (fullkey, future) in zip(results, waiters):
             fingerprint, key, want_features = fullkey
-            tag = payload[0]
-            feats = None
-            if tag == "ok" and len(payload) > 2 and payload[2] is not None:
-                feats = _feature_array(payload[2])
-            elif tag == "failed" and len(payload) > 1 and payload[1] is not None:
-                feats = _feature_array(payload[1])
-            # budget flag (third element of a "failed" payload): the
-            # worker tells step-budget timeouts from genuine HLS failures
-            sentinel = FAILED
-            if tag == "failed" and len(payload) > 2 and payload[2]:
-                sentinel = FAILED_BUDGET
+            if tag == "error":
+                with self._lock:
+                    self._inflight.pop(fullkey, None)
+                future.set_exception(BatchEvaluationError(
+                    key[3], RuntimeError(f"{first}\n{second}")))
+                continue
+            # ("ok", value, feat) | ("failed", feat, budget)
+            value, feat = (first, second) if tag == "ok" else (
+                FAILED_BUDGET if second else FAILED, first)
+            feats = None if feat is None else _feature_array(feat)
             with self._lock:
                 self._inflight.pop(fullkey, None)
                 prog = next((p for p in self._programs.values()
                              if p.fingerprint == fingerprint), None)
                 if prog is not None:
-                    if tag == "ok":
-                        prog.persisted[key] = payload[1]
-                        prog.remember(key)
-                    elif tag == "failed":
-                        prog.persisted[key] = sentinel
-                        prog.remember(key)
+                    prog.persisted[key] = value
+                    prog.remember(key)
                     if feats is not None:
                         prog.features[key[3]] = feats
-            if tag == "ok":
-                future.set_result((payload[1], feats) if want_features
-                                  else payload[1])
-            elif tag == "failed":
-                future.set_exception(_cached_failure(sentinel, key[3]))
-            else:
-                future.set_exception(BatchEvaluationError(
-                    key[3], RuntimeError(f"{payload[1]}\n{payload[2]}")))
+            _settle(future, key[3], value, feats, want_features)
 
-    def _register_with_worker(self, prog: _Program) -> None:
-        handle = self._handles[prog.worker_id]
-        if prog.worker_id not in prog.registered_workers:
-            handle.queue.put((MSG_REGISTER, id(prog.program), prog.fingerprint,
-                              dumps_module(prog.program)))
-            prog.registered_workers.add(prog.worker_id)
-
-    # -- local resolution helpers -------------------------------------------
-    def _resolved_future(self, key: StoreKey, value: Any,
-                         feats: Optional[np.ndarray] = None,
-                         want_features: bool = False) -> Future:
-        future: Future = Future()
-        failure = _cached_failure(value, key[3])
-        if failure is not None:
-            future.set_exception(failure)
-        elif want_features:
-            future.set_result((value, feats))
-        else:
-            future.set_result(value)
-        return future
-
-    def _persist(self, prog: _Program, key: StoreKey, value: Any,
-                 features: Optional[np.ndarray] = None) -> None:
-        """Record a locally computed result in memory and on disk. A key
-        whose value is already stored but whose features just arrived is
-        re-appended as an upgraded (v2, ``feat``-carrying) record."""
+    # -- the one evaluation path -------------------------------------------
+    def _resolve(self, program: Module, canonicals: Sequence[Tuple],
+                 objective: str, area_weight: float, entry: str,
+                 want_features: bool, batch: bool) -> Dict[Tuple, Future]:
+        """One Future per distinct canonical sequence. A persistent hit
+        is resolved at once, a duplicate of an in-flight request shares
+        its Future, and everything else travels as one message to the
+        program's shard."""
+        prog = self._ensure_program(program)
+        futures: Dict[Tuple, Future] = {}
+        upgrades: List[Tuple[Tuple, Any]] = []
+        sent: List[Tuple[Tuple[str, StoreKey, bool], Future]] = []
+        items: List[Tuple] = []
         with self._lock:
-            have_value = key in prog.persisted
-            have_feats = features is None or key[3] in prog.features
-            if have_value and have_feats:
+            for canonical in canonicals:
+                if canonical in futures:
+                    continue
+                key = make_key(objective, area_weight, entry, canonical)
+                cached = prog.persisted.get(key)
+                if cached is not None:
+                    self.persistent_hits += 1
+                    feats = prog.features.get(canonical) if want_features else None
+                    if feats is None and want_features and \
+                            _cached_failure(cached, canonical) is None:
+                        # a v1 record: value known, features recomputed
+                        # below, outside the lock
+                        upgrades.append((canonical, cached))
+                        futures[canonical] = Future()
+                    else:
+                        futures[canonical] = _settle(
+                            Future(), canonical, cached, feats, want_features)
+                    continue
+                fullkey = (prog.fingerprint, key, want_features)
+                existing = self._inflight.get(fullkey)
+                if existing is not None:
+                    self.coalesced += 1
+                    futures[canonical] = existing
+                    continue
+                self._check_open()
+                future = futures[canonical] = self._inflight[fullkey] = Future()
+                sent.append((fullkey, future))
+                items.append((list(canonical), objective, area_weight, entry,
+                              want_features))
+            if sent and self.workers:
+                # under the lock, so a respawn cannot come between the
+                # registration and the message
+                self._dispatch(prog, sent, items, batch)
+        if sent and not self.workers:
+            # outside the lock: the in-process shard evaluates on this thread
+            self._dispatch(prog, sent, items, batch)
+        for canonical, cached in upgrades:
+            futures[canonical].set_result(
+                (cached, self.features_after(program, canonical)))
+        return futures
+
+    def _dispatch(self, prog: _Program,
+                  sent: List[Tuple[Tuple[str, StoreKey, bool], Future]],
+                  items: List[Tuple], batch: bool) -> None:
+        """Send one message of fresh requests to the program's shard: a
+        worker's queue, or the in-process shard when ``workers=0``,
+        whose reply takes the same road as a worker's. Entry-point span:
+        under trace mode it mints (or joins) the request's trace, and
+        its context rides the message so worker spans parent into it."""
+        local = not self.workers
+        if not local:
+            self._start_pool()
+            if prog.worker_id not in prog.registered_workers:
+                self._handles[prog.worker_id].queue.put(
+                    (MSG_REGISTER, id(prog.program), prog.fingerprint,
+                     dumps_module(prog.program)))
+                prog.registered_workers.add(prog.worker_id)
+        if batch:
+            tm.observe("service.batch_size", len(items))
+            span = tm.span("service.evaluate_batch", worker=prog.worker_id,
+                           size=len(items))
+        else:
+            span = tm.span("service.submit", worker=prog.worker_id)
+        with span:
+            send_ts = time.monotonic()
+            with self._lock:
+                request_id = next(self._request_ids)
+                self._pending[request_id] = (None if local else prog.worker_id,
+                                             sent, send_ts)
+                self.dispatched += len(sent)
+                if not local:
+                    self._handles[prog.worker_id].queue.put(
+                        (MSG_EVALUATE, request_id, id(prog.program), items,
+                         send_ts, tm.current_trace()))
+            tm.count("service.dispatched", len(sent))
+            if local:
+                try:
+                    results = self._shard.evaluate_many(id(prog.program),
+                                                        items)
+                except Exception as exc:  # e.g. a store append failed
+                    results = [("error", repr(exc), traceback.format_exc())
+                               ] * len(items)
+        if local:
+            # the shared toolchain has already counted these samples
+            self._handle_message(("result", request_id, results, 0))
+
+    def _persist(self, prog: _Program, key: StoreKey, value: Any) -> None:
+        """Record a locally computed result in memory and on disk."""
+        with self._lock:
+            if key in prog.persisted:
                 return
             prog.persisted[key] = value
             prog.remember(key)
-            if features is not None and key[3] not in prog.features:
-                prog.features[key[3]] = _feature_array(features)
-        self.store.append(prog.fingerprint, self.toolchain_fp, key, value,
-                          features=features)
-
-    def _upgrade_v1(self, prog: _Program, key: StoreKey, cached: Any) -> np.ndarray:
-        """workers=0 upgrade of a persisted cycle-only (v1) record:
-        recompute the features sample-free on the local engine, cache
-        them, and append the upgraded v2 record beside the old one (the
-        store's on-demand contract)."""
-        canonical = key[3]
-        feats = self.local.features_after(prog.program, canonical)
-        with self._lock:
-            prog.features.setdefault(canonical, feats)
-        self.store.append(prog.fingerprint, self.toolchain_fp, key, cached,
-                          features=feats)
-        return feats
-
-    def _evaluate_local(self, prog: _Program, key: StoreKey,
-                        want_features: bool = False) -> Any:
-        """In-process evaluation (workers=0 path), persisting the result
-        (with its feature vector when one was requested)."""
-        objective, area_weight, entry, canonical = key
-        try:
-            if want_features:
-                value, feats = self.local.evaluate_with_features(
-                    prog.program, canonical, objective=objective,
-                    area_weight=area_weight, entry=entry)
-            else:
-                value = self.local.evaluate(prog.program, canonical,
-                                            objective=objective,
-                                            area_weight=area_weight, entry=entry)
-        except HLSCompilationError as exc:
-            sentinel = FAILED_BUDGET if isinstance(exc, StepBudgetError) else FAILED
-            feats = (self.local.features_after(prog.program, canonical)
-                     if want_features else None)
-            self._persist(prog, key, sentinel, features=feats)
-            raise
-        if want_features:
-            self._persist(prog, key, value, features=feats)
-            return value, _feature_array(feats)
-        self._persist(prog, key, value)
-        return value
+        self.store.append(prog.fingerprint, self.toolchain_fp, key, value)
 
     # -- public API: async --------------------------------------------------
     def submit(self, program: Module, actions: Sequence[Action],
@@ -484,66 +527,14 @@ class EvaluationClient:
         """Asynchronously evaluate one sequence; returns a Future whose
         result is the objective value (HLSCompilationError for sequences
         that fail HLS compilation), or a ``(value, features)`` pair with
-        ``want_features=True`` — the feature vector rides the same worker
+        ``want_features=True`` — the feature vector rides the same shard
         round-trip and the same persistent record, so warm
         feature-observation queries never materialize a module anywhere.
         Duplicate in-flight requests (same key, same feature appetite)
         share one Future."""
         canonical = canonicalize_sequence(actions)
-        key = make_key(objective, area_weight, entry, canonical)
-        prog = self._ensure_program(program)
-        fullkey = (prog.fingerprint, key, want_features)
-        with self._lock:
-            cached = prog.persisted.get(key)
-            feats = prog.features.get(canonical) if want_features else None
-            if cached is not None and \
-                    (not want_features or cached is FAILED
-                     or cached is FAILED_BUDGET or feats is not None):
-                self.persistent_hits += 1
-                return self._resolved_future(key, cached, feats, want_features)
-            existing = self._inflight.get(fullkey)
-            if existing is not None:
-                self.coalesced += 1
-                return existing
-            self._check_open()
-            future: Future = Future()
-            if self.workers:
-                # Covers both cold misses and value-known/features-missing
-                # (v1-record) upgrades: the shard worker resolves cached
-                # values from its own warm store and computes the missing
-                # features against its warm trie, off the caller's thread.
-                self._inflight[fullkey] = future
-                self._start_pool()
-                self._register_with_worker(prog)
-                # Entry-point span: under trace mode this mints (or
-                # joins) the request's trace, and its context rides the
-                # message so the worker's spans parent into it.
-                with tm.span("service.submit", worker=prog.worker_id):
-                    request_id = next(self._request_ids)
-                    send_ts = time.monotonic()
-                    self._pending[request_id] = (prog.worker_id,
-                                                 [(fullkey, future)], send_ts)
-                    self.dispatched += 1
-                    tm.count("service.dispatched")
-                    self._handles[prog.worker_id].queue.put(
-                        (MSG_EVALUATE, request_id, id(prog.program),
-                         [(list(canonical), objective, area_weight, entry,
-                           want_features)], send_ts, tm.current_trace()))
-                return future
-        if cached is not None:
-            # workers=0 + persisted value from a cycle-only (v1) record,
-            # features wanted
-            self.persistent_hits += 1
-            future.set_result((cached, self._upgrade_v1(prog, key, cached)))
-            return future
-        # workers=0: synchronous, outside the lock
-        try:
-            future.set_result(self._evaluate_local(prog, key, want_features))
-        except HLSCompilationError as exc:
-            future.set_exception(exc)
-        except Exception as exc:  # same contract as a worker crash
-            future.set_exception(BatchEvaluationError(canonical, exc))
-        return future
+        return self._resolve(program, [canonical], objective, area_weight,
+                             entry, want_features, batch=False)[canonical]
 
     # -- public API: sync (engine-compatible) -------------------------------
     def evaluate(self, program: Module, actions: Sequence[Action],
@@ -560,109 +551,15 @@ class EvaluationClient:
                List[Tuple[Optional[float], np.ndarray]]]:
         """Engine-compatible population scoring: one value per input
         sequence, ``None`` where HLS compilation fails. Duplicates are
-        resolved once; all misses for a program travel to its shard
-        worker as a single batched message. ``want_features=True``
-        matches the engine's contract — every row becomes ``(value,
-        features)``, failing rows ``(None, features)`` — riding the same
-        batched message (per-item feature flags) and persistent records."""
+        resolved once; all misses for a program travel to its shard as a
+        single batched message. ``want_features=True`` matches the
+        engine's contract — every row becomes ``(value, features)``,
+        failing rows ``(None, features)`` — riding the same batched
+        message (per-item feature flags) and persistent records."""
         self.batches += 1
         keyed = [canonicalize_sequence(seq) for seq in sequences]
-        prog = self._ensure_program(program)
-        futures: Dict[Tuple[Union[int, str], ...], Future] = {}
-        to_send: List[Tuple[Tuple[str, StoreKey, bool], Future]] = []
-        items: List[Tuple] = []
-        # canonical → (key, value): persisted cycle-only (v1) entries
-        # whose features must be recomputed locally (workers=0 only)
-        upgrades: Dict[Tuple[Union[int, str], ...], Tuple[StoreKey, Any]] = {}
-        with self._lock:
-            for canonical in keyed:
-                if canonical in futures:
-                    continue
-                key = make_key(objective, area_weight, entry, canonical)
-                cached = prog.persisted.get(key)
-                feats = prog.features.get(canonical) if want_features else None
-                if cached is not None and \
-                        (not want_features or cached is FAILED
-                         or cached is FAILED_BUDGET or feats is not None):
-                    self.persistent_hits += 1
-                    futures[canonical] = self._resolved_future(
-                        key, cached, feats, want_features)
-                    continue
-                fullkey = (prog.fingerprint, key, want_features)
-                existing = self._inflight.get(fullkey)
-                if existing is not None:
-                    self.coalesced += 1
-                    futures[canonical] = existing
-                    continue
-                self._check_open()
-                future = Future()
-                futures[canonical] = future
-                if self.workers:
-                    # cold misses and v1 feature upgrades alike: the
-                    # shard worker owns the warm store and trie
-                    self._inflight[fullkey] = future
-                    to_send.append((fullkey, future))
-                    items.append((list(canonical), objective, area_weight,
-                                  entry, want_features))
-                elif cached is not None:
-                    upgrades[canonical] = (key, cached)
-            if to_send:
-                self._start_pool()
-                self._register_with_worker(prog)
-                # Entry-point span; see submit() — same trace-context
-                # propagation for the batched message.
-                with tm.span("service.evaluate_batch", worker=prog.worker_id,
-                             size=len(items)):
-                    request_id = next(self._request_ids)
-                    send_ts = time.monotonic()
-                    self._pending[request_id] = (prog.worker_id, to_send,
-                                                 send_ts)
-                    self.dispatched += len(to_send)
-                    tm.count("service.dispatched", len(to_send))
-                    tm.observe("service.batch_size", len(items))
-                    self._handles[prog.worker_id].queue.put(
-                        (MSG_EVALUATE, request_id, id(prog.program), items,
-                         send_ts, tm.current_trace()))
-        if not self.workers:
-            for canonical, (key, cached) in upgrades.items():
-                self.persistent_hits += 1
-                futures[canonical].set_result(
-                    (cached, self._upgrade_v1(prog, key, cached)))
-            # misses go through the local engine's own batch API: same
-            # throughput and BatchEvaluationError contract as the engine
-            # backend, then persist
-            missing = [c for c, f in futures.items() if not f.done()]
-            if missing:
-                rows = self.local.evaluate_batch(
-                    prog.program, missing, objective=objective,
-                    area_weight=area_weight, entry=entry,
-                    want_features=want_features)
-                for canonical, row in zip(missing, rows):
-                    key = make_key(objective, area_weight, entry, canonical)
-                    future = futures[canonical]
-                    value, feats = row if want_features else (row, None)
-                    if value is None:
-                        # The engine collapsed the failure to a bare None
-                        # row; its memo still knows which kind — recover
-                        # it so budget timeouts persist as such.
-                        failure = self.local.memoized_failure(
-                            prog.program, canonical, objective=objective,
-                            area_weight=area_weight, entry=entry)
-                        if failure is None:
-                            failure = HLSCompilationError(
-                                f"sequence {canonical!r} is memoized as "
-                                f"failing HLS compilation")
-                        sentinel = (FAILED_BUDGET
-                                    if isinstance(failure, StepBudgetError)
-                                    else FAILED)
-                        self._persist(prog, key, sentinel, features=feats)
-                        future.set_exception(failure)
-                    elif want_features:
-                        future.set_result((value, feats))
-                        self._persist(prog, key, value, features=feats)
-                    else:
-                        self._persist(prog, key, value)
-                        future.set_result(value)
+        futures = self._resolve(program, keyed, objective, area_weight,
+                                entry, want_features, batch=True)
         out: List[Optional[float]] = []
         for canonical in keyed:
             try:
@@ -675,9 +572,14 @@ class EvaluationClient:
         return out
 
     # -- module-returning paths (local engine, persistent-aware) ------------
-    def evaluate_with_module(self, program: Module, actions: Sequence[Action],
-                             objective: str = "cycles", area_weight: float = 0.05,
-                             entry: str = "main") -> Tuple[float, Module]:
+    def _persisted_local(self, program: Module, actions: Sequence[Action],
+                         objective: str, area_weight: float, entry: str,
+                         run, on_hit) -> Any:
+        """The module paths on the local engine: a persisted value
+        answers with ``on_hit(canonical, value)``; a persisted failure
+        re-raises sample-free without materializing (engine semantics);
+        a miss answers with ``run(canonical)`` → ``(value, ...)`` and
+        persists the value, or the failure it raised."""
         canonical = canonicalize_sequence(actions)
         key = make_key(objective, area_weight, entry, canonical)
         prog = self._ensure_program(program)
@@ -685,53 +587,42 @@ class EvaluationClient:
             cached = prog.persisted.get(key)
             if cached is not None:
                 self.persistent_hits += 1
-        failure = _cached_failure(cached, key[3])
+        failure = _cached_failure(cached, canonical)
         if failure is not None:
-            # engine semantics: a memoized failure re-raises sample-free
-            # without materializing (callers materialize if they need to)
             raise failure
         if cached is not None:
-            return cached, self.local.materialize(program, canonical)
+            return on_hit(canonical, cached)
         try:
-            value, module = self.local.evaluate_with_module(
-                program, canonical, objective=objective,
-                area_weight=area_weight, entry=entry)
+            out = run(canonical)
         except HLSCompilationError as exc:
             self._persist(prog, key,
                           FAILED_BUDGET if isinstance(exc, StepBudgetError)
                           else FAILED)
             raise
-        self._persist(prog, key, value)
-        return value, module
+        self._persist(prog, key, out[0])
+        return out
+
+    def evaluate_with_module(self, program: Module, actions: Sequence[Action],
+                             objective: str = "cycles", area_weight: float = 0.05,
+                             entry: str = "main") -> Tuple[float, Module]:
+        return self._persisted_local(
+            program, actions, objective, area_weight, entry,
+            lambda canonical: self.local.evaluate_with_module(
+                program, canonical, objective=objective,
+                area_weight=area_weight, entry=entry),
+            lambda canonical, value: (
+                value, self.local.materialize(program, canonical)))
 
     def evaluate_prepared(self, program: Module, actions: Sequence[Action],
                           module: Module, objective: str = "cycles",
                           area_weight: float = 0.05, entry: str = "main",
                           changed: Optional[bool] = None) -> float:
-        canonical = canonicalize_sequence(actions)
-        key = make_key(objective, area_weight, entry, canonical)
-        prog = self._ensure_program(program)
-        with self._lock:
-            cached = prog.persisted.get(key)
-            if cached is not None:
-                self.persistent_hits += 1
-        failure = _cached_failure(cached, key[3])
-        if failure is not None:
-            raise failure
-        if cached is not None:
-            return cached
-        try:
-            value = self.local.evaluate_prepared(program, canonical, module,
-                                                 objective=objective,
-                                                 area_weight=area_weight,
-                                                 entry=entry, changed=changed)
-        except HLSCompilationError as exc:
-            self._persist(prog, key,
-                          FAILED_BUDGET if isinstance(exc, StepBudgetError)
-                          else FAILED)
-            raise
-        self._persist(prog, key, value)
-        return value
+        return self._persisted_local(
+            program, actions, objective, area_weight, entry,
+            lambda canonical: (self.local.evaluate_prepared(
+                program, canonical, module, objective=objective,
+                area_weight=area_weight, entry=entry, changed=changed),),
+            lambda canonical, value: (value,))[0]
 
     def materialize(self, program: Module, actions: Sequence[Action]) -> Module:
         return self.local.materialize(program, actions)
@@ -870,6 +761,7 @@ class EvaluationClient:
         with self._lock:
             self.local.clear()
             self._programs.clear()
+            self._shard.programs.clear()
 
     def close(self, timeout: float = 5.0) -> None:
         """Shut the worker pool down. Idempotent; safe to skip (workers,

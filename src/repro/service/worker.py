@@ -14,11 +14,11 @@ local :class:`EvaluationEngine` (and therefore to
 ``HLSToolchain(use_engine=False)``). Every response carries the number
 of true simulator invocations it consumed so the client can keep the
 owning toolchain's ``samples_taken`` exact across process boundaries;
-persistent-store hits consume (and report) zero.
+engine memo hits consume (and report) zero.
 
-The worker both *reads* the persistent store (warm start at program
-registration) and *writes* it (one append per fresh result), so results
-computed anywhere become visible to every later run.
+Evaluation itself is :class:`Shard`, which only *writes* the store:
+the client reads it and never sends a known result. ``workers=0`` runs
+the same class in-process, so both modes share one path to the store.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from ..hls.profiler import HLSCompilationError, StepBudgetError
 from .fingerprint import toolchain_fingerprint
 from .store import ResultStore, make_key
 
-__all__ = ["worker_main", "dumps_module", "loads_module",
+__all__ = ["Shard", "worker_main", "dumps_module", "loads_module",
            "MSG_REGISTER", "MSG_EVALUATE", "MSG_STATS", "MSG_SHUTDOWN"]
 
 # Request message tags (first tuple element on the request queue).
@@ -85,89 +85,61 @@ def loads_module(data: bytes):
         sys.setrecursionlimit(limit)
 
 
-class _WorkerState:
-    """Everything one worker process owns."""
+class Shard:
+    """Evaluate what is sent on one engine, append each fresh result to
+    the persistent store, and reply with the payload tuples above.
 
-    def __init__(self, worker_id: int, store_dir: Optional[str],
-                 toolchain_config: Dict[str, Any]) -> None:
-        # Workers always run the plain engine backend: a worker that
-        # honoured REPRO_EVAL_BACKEND=service would recurse into spawning
-        # its own workers.
-        from ..toolchain import HLSToolchain
+    Whether a result is already known is the client's decision, so a
+    shard keeps no result map and reads nothing from the store. A
+    worker process runs one on its private engine, an in-process client
+    (``workers=0``) one on its local engine.
+    """
 
-        self.worker_id = worker_id
-        self.toolchain = HLSToolchain(backend="engine", **toolchain_config)
-        self.store = ResultStore(store_dir)
-        self.toolchain_fp = toolchain_fingerprint(self.toolchain)
-        self.programs: Dict[int, Any] = {}
-        self.fingerprints: Dict[int, str] = {}
-        # (program_id, StoreKey) → value/FAILED, warm-started from disk.
-        self.persisted: Dict[Tuple[int, Tuple], Any] = {}
-        # (program_id, canonical sequence) → feature vector (int list),
-        # warm-started from v2 records of the same shards.
-        self.features: Dict[Tuple[int, Tuple], Any] = {}
-        # program_id → traceback of a failed registration, reported with
-        # every subsequent evaluation of that program
-        self.register_errors: Dict[int, str] = {}
-        self.persistent_hits = 0
+    def __init__(self, engine, store: ResultStore, toolchain_fp: str) -> None:
+        self.engine = engine
+        self.store = store
+        self.toolchain_fp = toolchain_fp
+        # program_id → (module, program fingerprint)
+        self.programs: Dict[int, Tuple[Any, str]] = {}
 
-    def register(self, program_id: int, program_fp: str, module_bytes: bytes) -> None:
-        if program_id in self.programs:
-            return
-        self.programs[program_id] = loads_module(module_bytes)
-        self.fingerprints[program_id] = program_fp
-        values, features = self.store.load_with_features(program_fp,
-                                                         self.toolchain_fp)
-        for key, value in values.items():
-            self.persisted[(program_id, key)] = value
-        for canonical, feat in features.items():
-            self.features[(program_id, canonical)] = feat
+    def register(self, program_id: int, program_fp: str, module) -> None:
+        self.programs.setdefault(program_id, (module, program_fp))
+
+    def _reply(self, program_id: int, item: Tuple, value, feat,
+               failure: Optional[BaseException] = None) -> Tuple:
+        """Append one result (``value`` None: a failure, budget kind
+        told by ``failure``) and shape its payload."""
+        sequence, objective, area_weight, entry, _ = item
+        if feat is not None:
+            feat = [int(x) for x in feat]
+        if value is None:
+            value = (FAILED_BUDGET if isinstance(failure, StepBudgetError)
+                     else FAILED)
+        self.store.append(self.programs[program_id][1], self.toolchain_fp,
+                          make_key(objective, area_weight, entry,
+                                   tuple(sequence)), value, feat)
+        if value is FAILED or value is FAILED_BUDGET:
+            return ("failed", feat, value is FAILED_BUDGET)
+        return ("ok", value, feat)
 
     def evaluate_one(self, program_id: int, item: Tuple) -> Tuple:
         sequence, objective, area_weight, entry, want_features = item
         canonical = tuple(sequence)
-        key = make_key(objective, area_weight, entry, canonical)
-        cached = self.persisted.get((program_id, key))
-        feat = self.features.get((program_id, canonical)) if want_features else None
-        program = self.programs[program_id]
-        engine = self.toolchain.engine
-        if cached is not None:
-            self.persistent_hits += 1
-            if want_features and feat is None:
-                # A v1 (cycle-only) record: recompute features on demand —
-                # sample-free materialization — and append the upgraded
-                # v2 record beside the old one (duplicates are harmless).
-                feat = [int(x) for x in engine.features_after(program, canonical)]
-                self.features[(program_id, canonical)] = feat
-                self.store.append(self.fingerprints[program_id],
-                                  self.toolchain_fp, key, cached, feat)
-            if cached is FAILED or cached is FAILED_BUDGET:
-                return ("failed", feat, cached is FAILED_BUDGET)
-            return ("ok", cached, feat)
+        program = self.programs[program_id][0]
+        context = dict(objective=objective, area_weight=area_weight,
+                       entry=entry)
+        feat = None
         try:
             if want_features:
-                value, feats = engine.evaluate_with_features(
-                    program, canonical, objective=objective,
-                    area_weight=area_weight, entry=entry)
-                feat = [int(x) for x in feats]
+                value, feat = self.engine.evaluate_with_features(
+                    program, canonical, **context)
             else:
-                value = engine.evaluate(program, canonical, objective=objective,
-                                        area_weight=area_weight, entry=entry)
+                value = self.engine.evaluate(program, canonical, **context)
         except HLSCompilationError as exc:
-            sentinel = FAILED_BUDGET if isinstance(exc, StepBudgetError) else FAILED
             if want_features:
-                feat = [int(x) for x in engine.features_after(program, canonical)]
-                self.features[(program_id, canonical)] = feat
-            self.persisted[(program_id, key)] = sentinel
-            self.store.append(self.fingerprints[program_id], self.toolchain_fp,
-                              key, sentinel, feat)
-            return ("failed", feat, sentinel is FAILED_BUDGET)
-        self.persisted[(program_id, key)] = value
-        if feat is not None:
-            self.features[(program_id, canonical)] = feat
-        self.store.append(self.fingerprints[program_id], self.toolchain_fp,
-                          key, value, feat)
-        return ("ok", value, feat)
+                feat = self.engine.features_after(program, canonical)
+            return self._reply(program_id, item, None, feat, exc)
+        return self._reply(program_id, item, value, feat)
 
     def _safe_one(self, program_id: int, item: Tuple) -> Tuple:
         try:
@@ -176,78 +148,42 @@ class _WorkerState:
             return ("error", repr(exc), traceback.format_exc())
 
     def evaluate_many(self, program_id: int, items) -> list:
-        """Evaluate a whole per-shard submission, batching engine-bound
-        items of a shared evaluation context through one
-        ``engine.evaluate_batch`` call so the batch executor's dedup
-        sees the worker's full wave. Persistent-store hits stay
-        per-item (no simulator cost to batch); a crashing candidate
-        falls the whole group back to per-item evaluation, which reports
-        ``("error", ...)`` only for the offender."""
+        """Evaluate a whole per-shard submission, batching items of a
+        shared evaluation context through one ``engine.evaluate_batch``
+        call so the batch executor's dedup sees the full wave. A
+        crashing candidate falls its group back to per-item evaluation,
+        which reports ``("error", ...)`` only for the offender and still
+        persists its siblings."""
         results: list = [None] * len(items)
         groups: Dict[Tuple, list] = {}
         for idx, item in enumerate(items):
-            sequence, objective, area_weight, entry, want_features = item
-            key = make_key(objective, area_weight, entry, tuple(sequence))
-            if (program_id, key) in self.persisted:
-                results[idx] = self._safe_one(program_id, item)
-                continue
-            groups.setdefault((objective, area_weight, entry, want_features),
-                              []).append(idx)
-        program = self.programs[program_id]
-        engine = self.toolchain.engine
+            groups.setdefault(tuple(item[1:]), []).append(idx)
+        program = self.programs[program_id][0]
         for (objective, area_weight, entry, want_features), idxs in groups.items():
-            if len(idxs) < 2:
-                for idx in idxs:
-                    results[idx] = self._safe_one(program_id, items[idx])
-                continue
-            seqs = [tuple(items[idx][0]) for idx in idxs]
-            try:
-                rows = engine.evaluate_batch(
-                    program, seqs, objective=objective,
-                    area_weight=area_weight, entry=entry,
-                    want_features=want_features)
-            except Exception:
+            context = dict(objective=objective, area_weight=area_weight,
+                           entry=entry)
+            rows = None
+            if len(idxs) > 1:
+                try:
+                    rows = self.engine.evaluate_batch(
+                        program, [tuple(items[idx][0]) for idx in idxs],
+                        want_features=want_features, **context)
+                except Exception:
+                    pass
+            if rows is None:
                 for idx in idxs:
                     results[idx] = self._safe_one(program_id, items[idx])
                 continue
             for idx, row in zip(idxs, rows):
-                results[idx] = self._finish_batched(program_id, items[idx], row)
+                value, feat = row if want_features else (row, None)
+                # the engine collapses a failing row to a bare None; its
+                # memo still knows which kind of failure it was
+                failure = None if value is not None else \
+                    self.engine.memoized_failure(program, items[idx][0],
+                                                 **context)
+                results[idx] = self._reply(program_id, items[idx], value,
+                                           feat, failure)
         return results
-
-    def _finish_batched(self, program_id: int, item: Tuple, row) -> Tuple:
-        """Record one ``evaluate_batch`` row exactly as
-        :meth:`evaluate_one` would have: persist the value (or failure
-        sentinel) once, keep the feature map warm, ship the same
-        response tuple."""
-        sequence, objective, area_weight, entry, want_features = item
-        canonical = tuple(sequence)
-        key = make_key(objective, area_weight, entry, canonical)
-        value, feat = (row if want_features else (row, None))
-        if feat is not None:
-            feat = [int(x) for x in feat]
-            self.features[(program_id, canonical)] = feat
-        if value is None:
-            failure = self.toolchain.engine.memoized_failure(
-                self.programs[program_id], canonical, objective=objective,
-                area_weight=area_weight, entry=entry)
-            budget = isinstance(failure, StepBudgetError)
-            sentinel = FAILED_BUDGET if budget else FAILED
-            if (program_id, key) not in self.persisted:  # dedup duplicates
-                self.persisted[(program_id, key)] = sentinel
-                self.store.append(self.fingerprints[program_id],
-                                  self.toolchain_fp, key, sentinel, feat)
-            return ("failed", feat, budget)
-        if (program_id, key) not in self.persisted:
-            self.persisted[(program_id, key)] = value
-            self.store.append(self.fingerprints[program_id],
-                              self.toolchain_fp, key, value, feat)
-        return ("ok", value, feat)
-
-    def cache_info(self) -> Dict[str, int]:
-        info = self.toolchain.engine.cache_info()
-        info["persistent_hits"] = self.persistent_hits
-        info["samples_taken"] = self.toolchain.samples_taken
-        return info
 
 
 def worker_main(worker_id: int, request_queue, response_queue,
@@ -257,7 +193,17 @@ def worker_main(worker_id: int, request_queue, response_queue,
     # A forked worker inherits the parent's counters; start from zero so
     # the snapshot this worker ships back never double-counts the parent.
     tm.reset_for_child({"role": "worker", "worker": worker_id})
-    state = _WorkerState(worker_id, store_dir, toolchain_config or {})
+    # Workers always run the plain engine backend: a worker that
+    # honoured REPRO_EVAL_BACKEND=service would recurse into spawning
+    # its own workers.
+    from ..toolchain import HLSToolchain
+
+    toolchain = HLSToolchain(backend="engine", **(toolchain_config or {}))
+    shard = Shard(toolchain.engine, ResultStore(store_dir),
+                  toolchain_fingerprint(toolchain))
+    # program_id → traceback of a failed registration, reported with
+    # every subsequent evaluation of that program
+    register_errors: Dict[int, str] = {}
     while True:
         try:
             message = request_queue.get()
@@ -269,15 +215,16 @@ def worker_main(worker_id: int, request_queue, response_queue,
         if tag == MSG_REGISTER:
             _, program_id, program_fp, module_bytes = message
             try:
-                state.register(program_id, program_fp, module_bytes)
+                shard.register(program_id, program_fp,
+                               loads_module(module_bytes))
             except Exception:  # surfaced on the first evaluate instead
-                state.programs.pop(program_id, None)
-                state.register_errors[program_id] = traceback.format_exc()
+                register_errors[program_id] = traceback.format_exc()
             continue
         if tag == MSG_STATS:
             _, request_id = message
-            response_queue.put(("stats", request_id, state.cache_info(),
-                                worker_id))
+            info = toolchain.engine.cache_info()
+            info["samples_taken"] = toolchain.samples_taken
+            response_queue.put(("stats", request_id, info, worker_id))
             continue
         if tag == MSG_EVALUATE:
             request_id, program_id, items = message[1], message[2], message[3]
@@ -287,23 +234,23 @@ def worker_main(worker_id: int, request_queue, response_queue,
                 tm.observe("worker.queue_wait.seconds",
                            max(0.0, time.monotonic() - enqueue_ts))
             tm.count("worker.items", len(items))
-            before = state.toolchain.samples_taken
+            before = toolchain.samples_taken
             # Under trace mode the dispatching client ships its span's
             # (trace_id, span_id); attaching it parents this worker's
             # spans into the request's distributed trace. No-op
             # otherwise.
             with tm.attach_trace(trace_ctx), \
                     tm.span("worker.evaluate", items=len(items)):
-                if program_id not in state.programs:
-                    detail = state.register_errors.get(program_id, "")
+                if program_id not in shard.programs:
+                    detail = register_errors.get(program_id, "")
                     why = ("registration failed" if detail
                            else "never registered")
                     results = [("error", f"program {program_id} {why} "
                                 f"with worker {worker_id}", detail)
                                for _ in items]
                 else:
-                    results = state.evaluate_many(program_id, items)
-            samples = state.toolchain.samples_taken - before
+                    results = shard.evaluate_many(program_id, items)
+            samples = toolchain.samples_taken - before
             tm.count("worker.samples", samples)
             # Cumulative telemetry snapshot rides every reply so the
             # client always has the latest per-worker view (merged at

@@ -451,9 +451,10 @@ class TestSatellites:
     def test_worker_batches_shard_submissions(self, benchmarks, tmp_path):
         """evaluate_many (the per-shard batched path) returns exactly what
         per-item evaluate_one returns, and persists results for the next
-        worker generation."""
+        client over the same store."""
+        from repro.service import ResultStore
         from repro.service.fingerprint import program_fingerprint
-        from repro.service.worker import _WorkerState, dumps_module
+        from repro.service.worker import Shard
 
         program = benchmarks["qsort"]
         fp = program_fingerprint(program)
@@ -463,21 +464,29 @@ class TestSatellites:
                  ((7,), "cycles", 0.05, "main", True),
                  ((), "cycles", 0.05, "main", False)]
 
-        batched_state = _WorkerState(0, str(tmp_path / "a"), {})
-        batched_state.register(1, fp, dumps_module(program))
-        batched = batched_state.evaluate_many(1, items)
+        def shard(store_dir):
+            tc = HLSToolchain()
+            out = Shard(tc.engine, ResultStore(str(store_dir)),
+                        toolchain_fingerprint(tc))
+            out.register(1, fp, program)
+            return out
 
-        serial_state = _WorkerState(1, str(tmp_path / "b"), {})
-        serial_state.register(1, fp, dumps_module(program))
-        serial = [serial_state.evaluate_one(1, item) for item in items]
+        batched = shard(tmp_path / "a").evaluate_many(1, items)
+        serial_shard = shard(tmp_path / "b")
+        serial = [serial_shard.evaluate_one(1, item) for item in items]
         assert batched == serial
 
-        # a fresh worker over the same store warm-starts from the batch's
-        # persisted rows: zero simulator samples
-        warm = _WorkerState(2, str(tmp_path / "a"), {})
-        warm.register(1, fp, dumps_module(program))
-        assert warm.evaluate_many(1, items) == batched
-        assert warm.toolchain.samples_taken == 0
+        # a fresh client over the same store answers every item from the
+        # batch's persisted rows: zero simulator samples
+        warm = HLSToolchain(backend="service", service_config={
+            "workers": 0, "store_dir": str(tmp_path / "a")})
+        rows = [warm.engine.evaluate_with_features(program, seq)
+                if want_features else warm.engine.evaluate(program, seq)
+                for seq, _, _, _, want_features in items]
+        assert [row[0] if isinstance(row, tuple) else row for row in rows] \
+            == [payload[1] for payload in batched]
+        assert warm.samples_taken == 0
+        warm.close()
 
 
 class TestExecSignatureMemo:

@@ -325,29 +325,37 @@ class TestBudgetFailures:
         tc.close()
         tc2.close()
 
+    @staticmethod
+    def _shard(tmp_path, **toolchain_kwargs):
+        from repro.service import ResultStore, toolchain_fingerprint
+        from repro.service.worker import Shard
+
+        tc = HLSToolchain(**toolchain_kwargs)
+        return Shard(tc.engine, ResultStore(str(tmp_path)),
+                     toolchain_fingerprint(tc))
+
     def test_worker_payload_carries_budget_flag(self, benchmarks, tmp_path):
         from repro.service.fingerprint import program_fingerprint
-        from repro.service.worker import _WorkerState, dumps_module
 
-        state = _WorkerState(0, str(tmp_path), {"max_steps": 50})
+        shard = self._shard(tmp_path, max_steps=50)
         program = benchmarks["qsort"]
-        state.register(1, program_fingerprint(program), dumps_module(program))
-        tag, feat, is_budget = state.evaluate_one(1, ([], "cycles", 0.05,
+        shard.register(1, program_fingerprint(program), program)
+        tag, feat, is_budget = shard.evaluate_one(1, ([], "cycles", 0.05,
                                                       "main", False))
         assert tag == "failed" and is_budget is True
-        # warm path answers from the persisted map with the same shape
-        tag, feat, is_budget = state.evaluate_one(1, ([], "cycles", 0.05,
+        # a repeat answers from the engine memo with the same shape
+        tag, feat, is_budget = shard.evaluate_one(1, ([], "cycles", 0.05,
                                                       "main", False))
         assert tag == "failed" and is_budget is True
+        assert shard.store.stats()["budget_failed_results"] >= 1
 
     def test_worker_payload_genuine_failure(self, tmp_path):
         from repro.service.fingerprint import program_fingerprint
-        from repro.service.worker import _WorkerState, dumps_module
 
         module = self._trap_module()
-        state = _WorkerState(0, str(tmp_path), {})
-        state.register(1, program_fingerprint(module), dumps_module(module))
-        tag, feat, is_budget = state.evaluate_one(1, ([], "cycles", 0.05,
+        shard = self._shard(tmp_path)
+        shard.register(1, program_fingerprint(module), module)
+        tag, feat, is_budget = shard.evaluate_one(1, ([], "cycles", 0.05,
                                                       "main", False))
         assert tag == "failed" and is_budget is False
 

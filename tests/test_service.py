@@ -255,6 +255,41 @@ class TestAsyncAndCoalescing:
         finally:
             tc.close()
 
+    def test_in_process_threads_dispatch_each_key_once(self, benchmarks,
+                                                       tmp_path):
+        """workers=0 evaluates on the calling thread, yet concurrent
+        callers still coalesce: every distinct key is dispatched once."""
+        import sys
+
+        program = benchmarks["gsm"]
+        seqs = [[38], [31, 7], [38, 31], [7], [11, 13], [13]]
+        batches = [seqs[i:] + seqs[:i] for i in range(len(seqs))]
+        reference = HLSToolchain().engine.evaluate_batch(
+            chstone.build("gsm"), seqs)
+        tc = _service_toolchain(tmp_path, workers=0)
+        rows = {}
+
+        def run(i):
+            rows[i] = tc.engine.evaluate_batch(program, batches[i])
+
+        threads = [threading.Thread(target=run, args=(i,), daemon=True)
+                   for i in range(len(batches))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for i, batch in enumerate(batches):
+            assert rows[i] == [reference[seqs.index(s)] for s in batch]
+        info = tc.engine.cache_info(include_workers=False)
+        assert info["dispatched_requests"] == len(seqs)
+        assert info["persistent_entries"] == len(seqs)
+
 
 class TestBackendToggle:
     def test_env_var_opts_in_without_code_changes(self, monkeypatch, tmp_path):
@@ -310,20 +345,30 @@ class TestBackendToggle:
 
 
 class TestWorkerErrorSurfacing:
-    def test_worker_crash_carries_offending_sequence(self, benchmarks, tmp_path):
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_worker_crash_carries_offending_sequence(self, benchmarks,
+                                                     tmp_path, workers):
         from repro.engine import BatchEvaluationError
 
-        tc = _service_toolchain(tmp_path, workers=1)
+        program = benchmarks["gsm"]
+        tc = _service_toolchain(tmp_path, workers=workers)
         try:
-            program = benchmarks["gsm"]
-            # an out-of-range pass index crashes inside the worker engine
-            # (not an HLSCompilationError memo)
+            # an out-of-range pass index crashes inside the shard's
+            # engine (not an HLSCompilationError memo)
             bogus = [NUM_TRANSFORMS + 1000]
             with pytest.raises(BatchEvaluationError) as excinfo:
-                tc.engine.evaluate_batch(program, [[38], bogus])
+                tc.engine.evaluate_batch(program, [[38], [31, 7], bogus])
             assert excinfo.value.sequence == canonicalize_sequence(bogus)
         finally:
             tc.close()
+        # the crash does not cost its siblings: they were persisted, so a
+        # fresh client over the same store answers them sample-free
+        fresh = _service_toolchain(tmp_path, workers=workers)
+        try:
+            fresh.engine.evaluate_batch(program, [[38], [31, 7]])
+            assert fresh.samples_taken == 0
+        finally:
+            fresh.close()
 
     def test_in_process_client_keeps_the_same_error_contract(self, benchmarks,
                                                              tmp_path):
@@ -465,13 +510,14 @@ class TestStoreSchemaCompatibility:
         values, features = store.load_with_features("f" * 32, "t" * 8)
         assert len(values) == 2 and list(features) == [(7,)]
 
+    @pytest.mark.parametrize("workers", [0, 1])
     def test_client_serves_v1_value_and_recomputes_features(self, benchmarks,
-                                                            tmp_path):
+                                                            tmp_path, workers):
         """A store written before the feature schema: the value is a
         persistent hit (zero samples) and the features are recomputed on
         demand, upgrading the shard with a v2 record."""
         program = benchmarks["gsm"]
-        tc = _service_toolchain(tmp_path, workers=0)
+        tc = _service_toolchain(tmp_path, workers=workers)
         client = tc.engine
         fingerprint = program_fingerprint(program)
         # handcraft the v1 shard with the true cycle count
@@ -487,17 +533,76 @@ class TestStoreSchemaCompatibility:
         with open(path, "w") as fh:
             fh.write(json.dumps(record) + "\n")
 
-        value, feats = client.evaluate_with_features(program, [38, 31])
-        assert value == reference
-        assert tc.samples_taken == 0  # value from the v1 record, no profile
-        from repro.features import extract_features
+        try:
+            value, feats = client.evaluate_with_features(program, [38, 31])
+            assert value == reference
+            assert tc.samples_taken == 0  # value from the v1 record, no profile
+            assert client.persistent_hits == 1
+            from repro.features import extract_features
 
-        expected = extract_features(client.materialize(program, [38, 31]))
-        assert (feats == expected).all()
+            expected = extract_features(client.materialize(program, [38, 31]))
+            assert (feats == expected).all()
+        finally:
+            tc.close()
         # the shard now carries the upgraded v2 record for the next run
         _, features = store.load_with_features(fingerprint,
                                                toolchain_fingerprint(tc))
         assert features[(38, 31)] == [int(x) for x in expected]
+
+
+class TestModeParity:
+    """workers=0 and worker processes are one evaluation path: the same
+    op stream gives the same rows, samples, counters and store records."""
+
+    @staticmethod
+    def _plain(value):
+        if isinstance(value, np.ndarray):
+            return value.tolist()
+        if isinstance(value, (list, tuple)):
+            return [TestModeParity._plain(v) for v in value]
+        return value
+
+    def _run(self, program, store_dir, workers, toolchain_kwargs):
+        tc = _service_toolchain(store_dir, workers=workers, **toolchain_kwargs)
+        client = tc.engine
+
+        def outcome(fn, *args):
+            try:
+                return self._plain(fn(program, *args))
+            except HLSCompilationError as exc:
+                return f"{type(exc).__name__}: {exc}"
+
+        try:
+            rows = [
+                outcome(lambda p, s: client.evaluate_batch(
+                    p, s, want_features=True), [[38], [31, 7], [38, 31]]),
+                outcome(client.evaluate_batch, [[7, 11], [38], [7, 11]]),
+                outcome(client.evaluate_with_features, [11, 13]),
+                outcome(client.features_after, [31, 7]),
+                outcome(client.evaluate, [13]),
+            ]
+            info = client.cache_info(include_workers=False)
+        finally:
+            tc.close()
+        counters = {k: info[k] for k in (
+            "persistent_hits", "persistent_entries",
+            "persistent_feature_entries", "dispatched_requests")}
+        records = list(ResultStore(str(store_dir)).iter_records())
+        return rows, tc.samples_taken, counters, records
+
+    @pytest.mark.parametrize("max_steps", [None, 50])
+    def test_in_process_and_worker_modes_agree(self, benchmarks, tmp_path,
+                                               max_steps):
+        kwargs = {} if max_steps is None else {"max_steps": max_steps}
+        program = benchmarks["gsm"]
+        local = self._run(program, tmp_path / "w0", 0, kwargs)
+        workers = self._run(program, tmp_path / "w1", 1, kwargs)
+        assert local == workers
+        _, samples, counters, records = local
+        assert samples > 0 and counters["dispatched_requests"] == 6
+        # at max_steps=50 every row fails with the budget sentinel
+        assert {(rec["ok"], rec.get("budget", False)) for _, rec in records} \
+            == ({(True, False)} if max_steps is None else {(False, True)})
 
 
 class TestServiceFeaturePath:
