@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import telemetry as tm
+from ..engine.core import canonicalize_sequence
 from ..hls.profiler import HLSCompilationError
 from ..ir.module import Module
 from ..passes.registry import NUM_ACTIONS, NUM_TRANSFORMS, TERMINATE_INDEX
@@ -302,9 +303,7 @@ class PolicyRunner:
                   counter: List[int]) -> Optional[int]:
         counter[0] += 1
         try:
-            return int(self.toolchain.cycle_count_with_passes(
-                module, [a if isinstance(a, str) else int(a)
-                         for a in sequence]))
+            return int(self.toolchain.cycle_count_with_passes(module, sequence))
         except HLSCompilationError:
             return None
 
@@ -320,17 +319,14 @@ class PolicyRunner:
         candidates (the cheapest Figure-7 black-box baseline) tries to
         close the gap before falling back — a served decision is never
         worse than the best candidate it evaluated."""
-        from ..engine.core import canonicalize_sequence
-
         # Entry point for direct API users (`repro optimize` without a
         # socket): mints a trace id when none is open, nests under the
         # policy server's wave span when there is one.
         with tm.span("policy.decide", batch=len(modules), refine=refine):
-            return self._optimize_batch(modules, refine, seed,
-                                        canonicalize_sequence)
+            return self._optimize_batch(modules, refine, seed)
 
     def _optimize_batch(self, modules: Sequence[Module], refine: int,
-                        seed: int, canonicalize_sequence) -> List[PolicyDecision]:
+                        seed: int) -> List[PolicyDecision]:
         spec = self.spec
         sequences = self.infer_batch(modules)
         # Canonical elements are table indices (or verbatim names for
@@ -339,8 +335,9 @@ class PolicyRunner:
         o3_seq = list(canonicalize_sequence(self.toolchain.o3_sequence()))
         transforms = [a for a in (spec.action_indices or range(NUM_TRANSFORMS))
                       if a != TERMINATE_INDEX]
+        candidates: List[List[int]] = []
         decisions = []
-        for i, (module, policy_seq) in enumerate(zip(modules, sequences)):
+        for module, policy_seq in zip(modules, sequences):
             counter = [0]
             policy_cycles = self._evaluate(module, policy_seq, counter)
             o3_cycles = self._evaluate(module, o3_seq, counter)
@@ -350,11 +347,13 @@ class PolicyRunner:
                 best_cycles, best_seq, source = o3_cycles, o3_seq, "o3"
             if source != "policy" and refine > 0:
                 # Policy lost to -O3: spend the refinement budget on the
-                # black-box fallback before conceding.
-                rng = np.random.default_rng([seed, i])
-                candidates = [[int(a) for a in
-                               rng.choice(transforms, size=spec.episode_length)]
-                              for _ in range(refine)]
+                # black-box fallback before conceding. The candidates depend
+                # on the request, never on its slot in the wave.
+                if not candidates:
+                    rng = np.random.default_rng([seed, 0])
+                    candidates = [[int(a) for a in rng.choice(
+                        transforms, size=spec.episode_length)]
+                        for _ in range(refine)]
                 values = self.toolchain.engine.evaluate_batch(module,
                                                               candidates)
                 counter[0] += len(candidates)

@@ -32,11 +32,14 @@ query stops there. On a miss the sequence is resolved through the trie
 and looked up again under the same key built from its effective sequence
 (itself a canonical sequence, so the two levels share one table and an
 effective hit leaves an alias behind under the raw key). Values are
-objective scalars; sequences that raise
-:class:`~repro.hls.profiler.HLSCompilationError` are memoized under a
-failure sentinel — at both levels — and re-raise on hit. LRU-bounded by
-entry count. **What counts as a sample:** only a profile. A memo hit at
-either level never touches the toolchain, so it does **not** increment
+objective scalars or failure sentinels (:mod:`repro.engine.memo` maps
+exceptions to sentinels and back), memoized at both levels and re-raised
+on hit. Any non-HLS exception of a pass, a profile or a wave lane is an
+:class:`EvaluationCrash` of that sequence alone, counted as
+``internal_errors`` and never persisted; only a kernel
+``VerificationError`` escapes. LRU-bounded by entry count.
+**What counts as a sample:** only a profile. A memo hit at either level
+never touches the toolchain, so it does **not** increment
 ``HLSToolchain.samples_taken`` — the paper's samples-per-program metric
 counts true simulator invocations only, and a candidate that differs
 from an evaluated one only in passes that did nothing is not a new
@@ -101,9 +104,9 @@ Engine cache-hit statistics live in ``engine.stats`` /
 ``engine.cache_info()`` and are reported alongside ``samples_taken``.
 """
 
-from .core import BatchEvaluationError, EvaluationEngine, canonicalize_sequence
-from .memo import EngineStats, ResultMemo
+from .core import EvaluationEngine, canonicalize_sequence
+from .memo import EngineStats, EvaluationCrash, ResultMemo
 from .trie import PrefixTrie, SnapshotLRU
 
-__all__ = ["EvaluationEngine", "BatchEvaluationError", "canonicalize_sequence",
+__all__ = ["EvaluationEngine", "EvaluationCrash", "canonicalize_sequence",
            "EngineStats", "ResultMemo", "PrefixTrie", "SnapshotLRU"]

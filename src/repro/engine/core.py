@@ -16,48 +16,28 @@ import numpy as np
 
 from .. import telemetry as tm
 from ..features.extractor import features_for
-from ..hls.profiler import HLSCompilationError, StepBudgetError
+from ..hls.profiler import HLSCompilationError
+from ..interp.kernels import VerificationError
 from ..ir.cloning import clone_module
 from ..ir.module import Module
 from ..passes import PassManager
 from ..passes.registry import TERMINATE_INDEX, pass_name_for_index
-from .memo import FAILED, FAILED_BUDGET, EngineStats, ResultMemo
+from .memo import (
+    CRASHED,
+    FAILED_BUDGET,
+    EngineStats,
+    EvaluationCrash,
+    ResultMemo,
+    failure_for,
+    failure_row,
+    failure_value,
+)
 from .trie import NodeBudget, PrefixTrie, Resolution, SnapshotLRU
 
-__all__ = ["EvaluationEngine", "BatchEvaluationError", "canonicalize_sequence"]
+__all__ = ["EvaluationEngine", "canonicalize_sequence"]
 
 Action = Union[int, str]
 Element = Union[int, str]
-
-
-class BatchEvaluationError(RuntimeError):
-    """A batch worker crashed evaluating ``sequence``.
-
-    Distinct from an :class:`HLSCompilationError` memo (a *legitimate*
-    failing sequence, reported as ``None`` in batch results): this wraps
-    an unexpected exception — a pass bug, a profiler crash — and carries
-    the offending sequence so a failed candidate is debuggable instead of
-    vanishing into a traceback that names no candidate.
-    """
-
-    def __init__(self, sequence: Sequence[Element], original: BaseException) -> None:
-        super().__init__(
-            f"evaluating sequence {tuple(sequence)!r} raised "
-            f"{type(original).__name__}: {original}")
-        self.sequence = tuple(sequence)
-        self.original = original
-
-
-def _cached_failure(cached, canonical) -> Optional[HLSCompilationError]:
-    """The exception a failure-sentinel memo entry stands for, if any."""
-    if cached is FAILED:
-        return HLSCompilationError(
-            f"sequence {canonical!r} is memoized as failing HLS compilation")
-    if cached is FAILED_BUDGET:
-        return StepBudgetError(
-            f"sequence {canonical!r} is memoized as exceeding the "
-            f"simulation step budget")
-    return None
 
 
 def canonicalize_sequence(actions: Sequence[Action]) -> Tuple[Element, ...]:
@@ -167,16 +147,29 @@ class EvaluationEngine:
             self.stats.memo_misses += 1
             tm.count("engine.memo_misses")
 
-    def _memoize_failure(self, keys: Sequence[Tuple],
-                         exc: HLSCompilationError) -> None:
-        budget = isinstance(exc, StepBudgetError)
+    def _memoize_failure(self, keys: Sequence[Tuple], exc: Exception,
+                         canonical: Tuple) -> HLSCompilationError:
+        """Memoize a failure under ``keys``; return it typed. A non-HLS
+        exception is an :class:`EvaluationCrash` of ``canonical`` alone,
+        but a kernel :class:`VerificationError` is re-raised."""
+        if isinstance(exc, VerificationError):
+            raise exc
+        if not isinstance(exc, HLSCompilationError):
+            exc = EvaluationCrash(canonical, exc)
+        if not keys:  # a feature query: no value to memoize or count
+            return exc
+        value = failure_value(exc)
         with self._lock:
             for key in keys:
-                self._memo.put(key, FAILED_BUDGET if budget else FAILED)
-            if budget:
+                self._memo.put(key, value)
+            if value is CRASHED:
+                self.stats.internal_errors += 1
+                tm.count("engine.internal_error")
+            elif value is FAILED_BUDGET:
                 self.stats.budget_failures_memoized += 1
             else:
                 self.stats.failures_memoized += 1
+        return exc
 
     def _prepare(self, program: Module, canonical: Tuple[Element, ...],
                  tail: Optional[Tuple], want_features: bool = False,
@@ -198,7 +191,7 @@ class EvaluationEngine:
         ``keys``; with ``wave`` (the grouped batch path: effective key →
         pending profile) it may be a sibling's pending profile instead.
         Raises the :class:`HLSCompilationError` a memoized failure stands
-        for, or the one a pass raised."""
+        for, or the :class:`EvaluationCrash` a crashing pass became."""
         pid = id(program)
         keys = [(pid, canonical) + tail] if tail else []
         feats: Optional[np.ndarray] = None
@@ -213,7 +206,8 @@ class EvaluationEngine:
             if want_features:
                 feats = self._feature_memo.get((pid, canonical))
                 self.stats.feature_hits += feats is not None
-            cold = value is not FAILED and value is not FAILED_BUDGET and (
+            failure = failure_for(value, canonical)
+            cold = failure is None and (
                 want_module or (tail is not None and value is None)
                 or (want_features and feats is None))
             if tail and not cold:
@@ -222,8 +216,9 @@ class EvaluationEngine:
             value, feats, module = self._prepare_cold(
                 program, canonical, tail, keys, value, feats, want_features,
                 want_module, wave)
-        if value is FAILED or value is FAILED_BUDGET:
-            raise _cached_failure(value, canonical)
+            failure = failure_for(value, canonical)
+        if failure is not None:
+            raise failure
         return value, feats, module, keys
 
     def _prepare_cold(self, program: Module, canonical: Tuple[Element, ...],
@@ -257,16 +252,14 @@ class EvaluationEngine:
                     if feats is not None:
                         self.stats.feature_hits += 1
                         self._feature_memo.put((pid, canonical), feats)
-            if value is not FAILED and value is not FAILED_BUDGET and (
+            if failure_for(value, canonical) is None and (
                     want_module or (tail is not None and value is None)
                     or (want_features and feats is None)):
                 module = self._materialize(trie, res, want_module)
             else:  # whatever _finish left in hand, the leaf may keep
                 self._admit_leaf(trie, res)
-        except HLSCompilationError as exc:
-            if keys:
-                self._memoize_failure(keys, exc)
-            raise
+        except Exception as exc:
+            raise self._memoize_failure(keys, exc, canonical)
         finally:
             if res.skipped:
                 with self._lock:
@@ -294,9 +287,8 @@ class EvaluationEngine:
                 value = self.toolchain.objective_value(module, objective,
                                                        area_weight=area_weight,
                                                        entry=entry)
-        except HLSCompilationError as exc:
-            self._memoize_failure(keys, exc)
-            raise
+        except Exception as exc:
+            raise self._memoize_failure(keys, exc, keys[0][1])
         with self._lock:
             for key in keys:
                 self._memo.put(key, value)
@@ -376,7 +368,7 @@ class EvaluationEngine:
             self._count_lookup(value is not None, effective_hit)
         if res.tracked and res.nodes:
             self._store_snapshot(trie, res.nodes[-1], module, copy=True)
-        failure = _cached_failure(value, canonical)
+        failure = failure_for(value, canonical)
         if failure is not None:
             raise failure
         if value is None:
@@ -421,15 +413,14 @@ class EvaluationEngine:
     ) -> Union[List[Optional[float]],
                List[Tuple[Optional[float], np.ndarray]]]:
         """Score a whole population. Returns one value per input sequence,
-        ``None`` where the sequence fails HLS compilation (callers apply
+        ``None`` where the sequence fails, crashes included (callers apply
         their own penalty). Duplicate sequences are evaluated once, and
         so are sequences that differ only in passes that did nothing.
 
         With ``want_features=True`` every row becomes a ``(value,
-        features)`` pair — the vectorized feature-observation path —
-        where ``features`` is always present (materialization succeeds
-        even when profiling fails, so failing rows come back as
-        ``(None, features)``).
+        features)`` pair — the vectorized feature-observation path.
+        Failing rows come back as ``(None, features)``, or ``(None,
+        None)`` when the module itself could not be built.
 
         The cycle objectives take the grouped path: lookups and
         materialization run per sequence, in order, exactly as
@@ -453,11 +444,8 @@ class EvaluationEngine:
                 return self.evaluate(program, canonical, objective=objective,
                                      area_weight=area_weight, entry=entry)
             except HLSCompilationError:
-                return self._failed_row(program, canonical, want_features)
-            except Exception as exc:
-                # Surface crashes with the offending sequence attached;
-                # raised after the scan below.
-                return BatchEvaluationError(canonical, exc)
+                return failure_row(self.features_after, program, canonical,
+                                   want_features)
 
         pending = list(unique)
         with tm.span("engine.evaluate_batch", size=len(pending)):
@@ -468,20 +456,7 @@ class EvaluationEngine:
             else:
                 for canonical in pending:
                     unique[canonical] = run_one(canonical)
-        for value in unique.values():
-            if isinstance(value, BatchEvaluationError):
-                raise value from value.original
         return [unique[canonical] for canonical in keyed]
-
-    def _failed_row(self, program: Module, canonical: Tuple[Element, ...],
-                    want_features: bool):
-        """The batch row of a sequence that fails HLS compilation."""
-        if not want_features:
-            return None
-        try:
-            return (None, self.features_after(program, canonical))
-        except Exception as exc:
-            return BatchEvaluationError(canonical, exc)
 
     def _use_grouped(self, objective: str) -> bool:
         """Whether cache misses of a batch are profiled as one wave
@@ -511,11 +486,8 @@ class EvaluationEngine:
                 value, feats, module, keys = self._prepare(
                     program, canonical, tail, want_features, wave=wave)
             except HLSCompilationError:
-                unique[canonical] = self._failed_row(program, canonical,
-                                                     want_features)
-                continue
-            except Exception as exc:
-                unique[canonical] = BatchEvaluationError(canonical, exc)
+                unique[canonical] = failure_row(
+                    self.features_after, program, canonical, want_features)
                 continue
             if value is None:
                 value = wave[keys[-1]] = _PendingProfile(module)
@@ -534,24 +506,22 @@ class EvaluationEngine:
                 [lane.module for lane in lanes], objective,
                 area_weight=area_weight, entry=entry)
         for lane, value in zip(lanes, values):
-            if isinstance(value, HLSCompilationError):
-                self._memoize_failure(lane.keys, value)
+            if isinstance(value, BaseException):
+                self._memoize_failure(lane.keys, value, lane.rows[0][0])
                 value = None
-            elif not isinstance(value, BaseException):
+            else:
                 with self._lock:
                     for key in lane.keys:
                         self._memo.put(key, value)
             for canonical, feats in lane.rows:
-                if isinstance(value, BaseException):
-                    unique[canonical] = BatchEvaluationError(canonical, value)
-                else:
-                    unique[canonical] = (value, feats) if want_features else value
+                unique[canonical] = (value, feats) if want_features else value
 
     def memoized_failure(self, program: Module, actions: Sequence[Action],
                          objective: str = "cycles", area_weight: float = 0.05,
                          entry: str = "main") -> Optional[HLSCompilationError]:
         """The exception a memoized failure of this key stands for —
-        :class:`StepBudgetError` for step-budget timeouts, plain
+        :class:`StepBudgetError` for step-budget timeouts,
+        :class:`EvaluationCrash` for crashes, plain
         :class:`HLSCompilationError` otherwise, ``None`` when the key is
         not memoized as failing. Lets batch callers (which receive bare
         ``None`` rows) recover which kind of failure was recorded."""
@@ -559,7 +529,7 @@ class EvaluationEngine:
         with self._lock:
             cached = self._memo.get((id(program), canonical, objective,
                                      area_weight, entry))
-        return _cached_failure(cached, canonical)
+        return failure_for(cached, canonical)
 
     # -- materialization ----------------------------------------------------
     def materialize(self, program: Module, actions: Sequence[Action]) -> Module:

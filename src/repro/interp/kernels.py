@@ -229,12 +229,33 @@ class _BoundFunction:
                     bidx = transfer
                 else:
                     return transfer[1]
+        except TypeError:  # the reference traps on an undefined value
+            name = self._undefined_operand(bidx, regs)
+            if name is None:
+                raise
+            raise TrapError(f"use of undefined value %{name}") from None
         finally:
             st.depth = depth - 1
             if allocas:
                 free = self.mem.free
                 for ptr in allocas:
                     free(ptr)
+
+    def _undefined_operand(self, bidx: int, regs: List) -> Optional[str]:
+        """A value block ``bidx`` read from an unwritten (``None``) register;
+        phi incomings and values the block defines itself do not count."""
+        compiler = _FunctionCompiler(self.src_blocks[bidx].parent)
+        compiler._allocate_slots()
+        slots, defined = compiler.slots, set()
+        for inst in self.src_blocks[bidx].instructions:
+            if not isinstance(inst, PhiNode):
+                for value in inst.operands:
+                    slot = slots.get(value)
+                    if slot is not None and slot not in defined \
+                            and regs[slot] is None:
+                        return value.name
+                defined.add(slots.get(inst))
+        return None
 
 
 # -- compile-time helpers -----------------------------------------------------

@@ -42,6 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..engine.memo import failure_row
 from ..hls.profiler import HLSCompilationError
 from ..passes.registry import NUM_ACTIONS, TERMINATE_INDEX
 from .env import (
@@ -150,54 +151,46 @@ class VectorEnv:
         both env flavours: ``submit()`` future fan-out on the service
         backend, one deduplicating ``evaluate_batch`` per distinct
         program otherwise. Returns one objective value per query,
-        ``None`` where the sequence fails HLS compilation. Under feature
-        observations each query's lane additionally receives the raw
-        feature vector of its new state (``lane.features``) — including
-        failed steps, whose features come from a sample-free
-        ``features_after``."""
+        ``None`` where the sequence fails. Under feature observations
+        each query's lane additionally receives the raw feature vector
+        of its new state (``lane.features``) — including failed steps,
+        whose features come from a sample-free ``features_after``, unless
+        the module could not be built."""
         self.evaluations += len(queries)
         want_features = self.wants_features
         engine = self.toolchain.engine
         submit = getattr(engine, "submit", None)
+        rows: List = [None] * len(queries)
         if submit is not None:  # service backend: concurrent fan-out
             futures = [
                 submit(self.programs[lane.program_index], seq,
                        objective=self.objective, want_features=want_features)
                 for lane, seq in queries
             ]
-            out: List[Optional[float]] = []
-            for (lane, seq), future in zip(queries, futures):
+            for i, ((lane, seq), future) in enumerate(zip(queries, futures)):
                 try:
-                    result = future.result()
+                    rows[i] = future.result()
                 except HLSCompilationError:
-                    if want_features:
-                        lane.features = engine.features_after(
-                            self.programs[lane.program_index], seq)
-                    out.append(None)
-                    continue
-                if want_features:
-                    value, lane.features = result
-                    out.append(value)
-                else:
-                    out.append(result)
-            return out
-        by_program: Dict[int, List[int]] = {}
-        for i, (lane, _) in enumerate(queries):
-            by_program.setdefault(lane.program_index, []).append(i)
-        out = [None] * len(queries)
-        for program_index, indices in by_program.items():
-            rows = engine.evaluate_batch(
-                self.programs[program_index],
-                [queries[i][1] for i in indices], objective=self.objective,
-                want_features=want_features)
-            for i, row in zip(indices, rows):
-                if want_features:
-                    value, feats = row
-                    queries[i][0].features = feats
-                    out[i] = value
-                else:
-                    out[i] = row
-        return out
+                    rows[i] = failure_row(engine.features_after,
+                                          self.programs[lane.program_index],
+                                          seq, want_features)
+        else:
+            by_program: Dict[int, List[int]] = {}
+            for i, (lane, _) in enumerate(queries):
+                by_program.setdefault(lane.program_index, []).append(i)
+            for program_index, indices in by_program.items():
+                batch = engine.evaluate_batch(
+                    self.programs[program_index],
+                    [queries[i][1] for i in indices], objective=self.objective,
+                    want_features=want_features)
+                for i, row in zip(indices, batch):
+                    rows[i] = row
+        if not want_features:
+            return rows
+        for (lane, _), (_, feats) in zip(queries, rows):
+            if feats is not None:  # else the module could not be built
+                lane.features = feats
+        return [value for value, _ in rows]
 
     # -- resets ---------------------------------------------------------------
     def _begin_reset(self, lane: _Lane, program_index: int) -> None:

@@ -49,21 +49,23 @@ import itertools
 import os
 import threading
 import time
-import traceback
 from concurrent.futures import Future
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .. import telemetry as tm
-from ..engine.core import (
-    BatchEvaluationError,
-    EvaluationEngine,
-    _cached_failure,
-    canonicalize_sequence,
+from ..engine.core import EvaluationEngine, canonicalize_sequence
+from ..engine.memo import (
+    CRASHED,
+    FAILED,
+    FAILED_BUDGET,
+    EvaluationCrash,
+    failure_for,
+    failure_row,
+    failure_value,
 )
-from ..engine.memo import FAILED, FAILED_BUDGET
-from ..hls.profiler import HLSCompilationError, StepBudgetError
+from ..hls.profiler import HLSCompilationError
 from ..ir.module import Module
 from .fingerprint import program_fingerprint, toolchain_fingerprint
 from .store import ResultStore, StoreKey, make_key
@@ -93,7 +95,7 @@ def _feature_array(feat) -> np.ndarray:
 def _settle(future: Future, canonical: Tuple, value: Any,
             feats: Optional[np.ndarray], want_features: bool) -> Future:
     """Resolve ``future`` with a known value or failure sentinel."""
-    failure = _cached_failure(value, canonical)
+    failure = failure_for(value, canonical)
     if failure is not None:
         future.set_exception(failure)
     else:
@@ -390,11 +392,12 @@ class EvaluationClient:
                        max(0.0, time.monotonic() - send_ts))
         for (tag, first, second), (fullkey, future) in zip(results, waiters):
             fingerprint, key, want_features = fullkey
-            if tag == "error":
+            if tag in ("crash", "error"):  # neither is persisted
                 with self._lock:
                     self._inflight.pop(fullkey, None)
-                future.set_exception(BatchEvaluationError(
-                    key[3], RuntimeError(f"{first}\n{second}")))
+                future.set_exception(
+                    EvaluationCrash(key[3]) if tag == "crash"
+                    else RuntimeError(f"{first}\n{second}"))
                 continue
             # ("ok", value, feat) | ("failed", feat, budget)
             value, feat = (first, second) if tag == "ok" else (
@@ -434,7 +437,7 @@ class EvaluationClient:
                     self.persistent_hits += 1
                     feats = prog.features.get(canonical) if want_features else None
                     if feats is None and want_features and \
-                            _cached_failure(cached, canonical) is None:
+                            failure_for(cached, canonical) is None:
                         # a v1 record: value known, features recomputed
                         # below, outside the lock
                         upgrades.append((canonical, cached))
@@ -501,20 +504,15 @@ class EvaluationClient:
                          send_ts, tm.current_trace()))
             tm.count("service.dispatched", len(sent))
             if local:
-                try:
-                    results = self._shard.evaluate_many(id(prog.program),
-                                                        items)
-                except Exception as exc:  # e.g. a store append failed
-                    results = [("error", repr(exc), traceback.format_exc())
-                               ] * len(items)
+                results = self._shard.evaluate_many(id(prog.program), items)
         if local:
             # the shared toolchain has already counted these samples
             self._handle_message(("result", request_id, results, 0))
 
     def _persist(self, prog: _Program, key: StoreKey, value: Any) -> None:
-        """Record a locally computed result in memory and on disk."""
+        """Record a local result (not a crash) in memory and on disk."""
         with self._lock:
-            if key in prog.persisted:
+            if value is CRASHED or key in prog.persisted:
                 return
             prog.persisted[key] = value
             prog.remember(key)
@@ -550,12 +548,12 @@ class EvaluationClient:
     ) -> Union[List[Optional[float]],
                List[Tuple[Optional[float], np.ndarray]]]:
         """Engine-compatible population scoring: one value per input
-        sequence, ``None`` where HLS compilation fails. Duplicates are
+        sequence, ``None`` where the sequence fails. Duplicates are
         resolved once; all misses for a program travel to its shard as a
         single batched message. ``want_features=True`` matches the
-        engine's contract — every row becomes ``(value, features)``,
-        failing rows ``(None, features)`` — riding the same batched
-        message (per-item feature flags) and persistent records."""
+        engine's contract (:func:`~repro.engine.memo.failure_row` shapes
+        failing rows), riding the same batched message (per-item feature
+        flags) and persistent records."""
         self.batches += 1
         keyed = [canonicalize_sequence(seq) for seq in sequences]
         futures = self._resolve(program, keyed, objective, area_weight,
@@ -565,10 +563,8 @@ class EvaluationClient:
             try:
                 out.append(futures[canonical].result())
             except HLSCompilationError:
-                if want_features:
-                    out.append((None, self.features_after(program, canonical)))
-                else:
-                    out.append(None)
+                out.append(failure_row(self.features_after, program,
+                                       canonical, want_features))
         return out
 
     # -- module-returning paths (local engine, persistent-aware) ------------
@@ -579,7 +575,8 @@ class EvaluationClient:
         answers with ``on_hit(canonical, value)``; a persisted failure
         re-raises sample-free without materializing (engine semantics);
         a miss answers with ``run(canonical)`` → ``(value, ...)`` and
-        persists the value, or the failure it raised."""
+        persists the value, or the failure it raised (a crash only the
+        local engine's memo keeps)."""
         canonical = canonicalize_sequence(actions)
         key = make_key(objective, area_weight, entry, canonical)
         prog = self._ensure_program(program)
@@ -587,7 +584,7 @@ class EvaluationClient:
             cached = prog.persisted.get(key)
             if cached is not None:
                 self.persistent_hits += 1
-        failure = _cached_failure(cached, canonical)
+        failure = failure_for(cached, canonical)
         if failure is not None:
             raise failure
         if cached is not None:
@@ -595,9 +592,7 @@ class EvaluationClient:
         try:
             out = run(canonical)
         except HLSCompilationError as exc:
-            self._persist(prog, key,
-                          FAILED_BUDGET if isinstance(exc, StepBudgetError)
-                          else FAILED)
+            self._persist(prog, key, failure_value(exc))
             raise
         self._persist(prog, key, out[0])
         return out

@@ -30,8 +30,7 @@ import traceback
 from typing import Any, Dict, Optional, Tuple
 
 from .. import telemetry as tm
-from ..engine.memo import FAILED, FAILED_BUDGET
-from ..hls.profiler import HLSCompilationError, StepBudgetError
+from ..engine.memo import FAILED_BUDGET, EvaluationCrash, failure_value
 from .fingerprint import toolchain_fingerprint
 from .store import ResultStore, make_key
 
@@ -56,11 +55,12 @@ MSG_SHUTDOWN = "shutdown"    # (tag,)
 
 # Per-item response payloads inside a ("result", request_id, items, samples)
 # message: ("ok", value, feat|None) | ("failed", feat|None, budget) |
-# ("error", repr, traceback) — ``feat`` is the post-sequence Table-2
-# feature vector as a plain int list (present whenever the item asked
-# for features; computing it never costs a simulator sample), and
-# ``budget`` is True when the failure was a simulation step-budget
-# timeout rather than a genuine HLS failure.
+# ("crash", repr, None) | ("error", repr, traceback) — ``feat`` is the
+# post-sequence Table-2 feature vector as a plain int list (present
+# whenever the item asked for features; computing it never costs a
+# simulator sample), and ``budget`` is True when the failure was a
+# simulation step-budget timeout rather than a genuine HLS failure. A
+# crash (EvaluationCrash) is never persisted; "error" is a worker fault.
 _PICKLE_RECURSION_LIMIT = 100_000
 
 
@@ -103,87 +103,58 @@ class Shard:
         self.programs: Dict[int, Tuple[Any, str]] = {}
 
     def register(self, program_id: int, program_fp: str, module) -> None:
+        """``module`` may be its pickle, loaded at first use: a failed load
+        is then reported with every evaluation of the program."""
         self.programs.setdefault(program_id, (module, program_fp))
 
-    def _reply(self, program_id: int, item: Tuple, value, feat,
-               failure: Optional[BaseException] = None) -> Tuple:
-        """Append one result (``value`` None: a failure, budget kind
-        told by ``failure``) and shape its payload."""
+    def _reply(self, program_id: int, item: Tuple, value, feat) -> Tuple:
+        """Store one row (a crash excepted); shape its payload."""
         sequence, objective, area_weight, entry, _ = item
-        if feat is not None:
-            feat = [int(x) for x in feat]
-        if value is None:
-            value = (FAILED_BUDGET if isinstance(failure, StepBudgetError)
-                     else FAILED)
-        self.store.append(self.programs[program_id][1], self.toolchain_fp,
+        program, program_fp = self.programs[program_id]
+        failed = value is None
+        if failed:
+            # the engine collapses a failing row to a bare None; its memo
+            # still knows which kind of failure it was
+            failure = self.engine.memoized_failure(
+                program, sequence, objective=objective,
+                area_weight=area_weight, entry=entry)
+            if isinstance(failure, EvaluationCrash):
+                return ("crash", repr(failure), None)
+            value = failure_value(failure)
+        feat = None if feat is None else [int(x) for x in feat]
+        self.store.append(program_fp, self.toolchain_fp,
                           make_key(objective, area_weight, entry,
                                    tuple(sequence)), value, feat)
-        if value is FAILED or value is FAILED_BUDGET:
+        if failed:
             return ("failed", feat, value is FAILED_BUDGET)
         return ("ok", value, feat)
 
-    def evaluate_one(self, program_id: int, item: Tuple) -> Tuple:
-        sequence, objective, area_weight, entry, want_features = item
-        canonical = tuple(sequence)
-        program = self.programs[program_id][0]
-        context = dict(objective=objective, area_weight=area_weight,
-                       entry=entry)
-        feat = None
-        try:
-            if want_features:
-                value, feat = self.engine.evaluate_with_features(
-                    program, canonical, **context)
-            else:
-                value = self.engine.evaluate(program, canonical, **context)
-        except HLSCompilationError as exc:
-            if want_features:
-                feat = self.engine.features_after(program, canonical)
-            return self._reply(program_id, item, None, feat, exc)
-        return self._reply(program_id, item, value, feat)
-
-    def _safe_one(self, program_id: int, item: Tuple) -> Tuple:
-        try:
-            return self.evaluate_one(program_id, item)
-        except Exception as exc:  # engine/toolchain crash, not HLS
-            return ("error", repr(exc), traceback.format_exc())
-
     def evaluate_many(self, program_id: int, items) -> list:
-        """Evaluate a whole per-shard submission, batching items of a
-        shared evaluation context through one ``engine.evaluate_batch``
-        call so the batch executor's dedup sees the full wave. A
-        crashing candidate falls its group back to per-item evaluation,
-        which reports ``("error", ...)`` only for the offender and still
-        persists its siblings."""
-        results: list = [None] * len(items)
-        groups: Dict[Tuple, list] = {}
-        for idx, item in enumerate(items):
-            groups.setdefault(tuple(item[1:]), []).append(idx)
-        program = self.programs[program_id][0]
-        for (objective, area_weight, entry, want_features), idxs in groups.items():
-            context = dict(objective=objective, area_weight=area_weight,
-                           entry=entry)
-            rows = None
-            if len(idxs) > 1:
-                try:
-                    rows = self.engine.evaluate_batch(
-                        program, [tuple(items[idx][0]) for idx in idxs],
-                        want_features=want_features, **context)
-                except Exception:
-                    pass
-            if rows is None:
-                for idx in idxs:
-                    results[idx] = self._safe_one(program_id, items[idx])
-                continue
-            for idx, row in zip(idxs, rows):
-                value, feat = row if want_features else (row, None)
-                # the engine collapses a failing row to a bare None; its
-                # memo still knows which kind of failure it was
-                failure = None if value is not None else \
-                    self.engine.memoized_failure(program, items[idx][0],
-                                                 **context)
-                results[idx] = self._reply(program_id, items[idx], value,
-                                           feat, failure)
-        return results
+        """Evaluate a submission with one ``engine.evaluate_batch`` per
+        evaluation context, so the batch executor's dedup sees the whole
+        wave; anything raised is a worker fault, an ``"error"`` per item."""
+        try:
+            results: list = [None] * len(items)
+            groups: Dict[Tuple, list] = {}
+            for idx, item in enumerate(items):
+                groups.setdefault(tuple(item[1:]), []).append(idx)
+            program, program_fp = self.programs[program_id]
+            if isinstance(program, bytes):
+                program = loads_module(program)
+                self.programs[program_id] = (program, program_fp)
+            for (objective, area_weight, entry, want_features), idxs \
+                    in groups.items():
+                rows = self.engine.evaluate_batch(
+                    program, [tuple(items[idx][0]) for idx in idxs],
+                    objective=objective, area_weight=area_weight, entry=entry,
+                    want_features=want_features)
+                for idx, row in zip(idxs, rows):
+                    value, feat = row if want_features else (row, None)
+                    results[idx] = self._reply(program_id, items[idx], value,
+                                               feat)
+            return results
+        except Exception as exc:
+            return [("error", repr(exc), traceback.format_exc())] * len(items)
 
 
 def worker_main(worker_id: int, request_queue, response_queue,
@@ -201,9 +172,6 @@ def worker_main(worker_id: int, request_queue, response_queue,
     toolchain = HLSToolchain(backend="engine", **(toolchain_config or {}))
     shard = Shard(toolchain.engine, ResultStore(store_dir),
                   toolchain_fingerprint(toolchain))
-    # program_id → traceback of a failed registration, reported with
-    # every subsequent evaluation of that program
-    register_errors: Dict[int, str] = {}
     while True:
         try:
             message = request_queue.get()
@@ -213,12 +181,7 @@ def worker_main(worker_id: int, request_queue, response_queue,
         if tag == MSG_SHUTDOWN:
             return
         if tag == MSG_REGISTER:
-            _, program_id, program_fp, module_bytes = message
-            try:
-                shard.register(program_id, program_fp,
-                               loads_module(module_bytes))
-            except Exception:  # surfaced on the first evaluate instead
-                register_errors[program_id] = traceback.format_exc()
+            shard.register(*message[1:])
             continue
         if tag == MSG_STATS:
             _, request_id = message
@@ -241,15 +204,7 @@ def worker_main(worker_id: int, request_queue, response_queue,
             # otherwise.
             with tm.attach_trace(trace_ctx), \
                     tm.span("worker.evaluate", items=len(items)):
-                if program_id not in shard.programs:
-                    detail = register_errors.get(program_id, "")
-                    why = ("registration failed" if detail
-                           else "never registered")
-                    results = [("error", f"program {program_id} {why} "
-                                f"with worker {worker_id}", detail)
-                               for _ in items]
-                else:
-                    results = shard.evaluate_many(program_id, items)
+                results = shard.evaluate_many(program_id, items)
             samples = toolchain.samples_taken - before
             tm.count("worker.samples", samples)
             # Cumulative telemetry snapshot rides every reply so the

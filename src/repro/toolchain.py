@@ -23,14 +23,13 @@ import threading
 import weakref
 from typing import Dict, List, Optional, Sequence, Union
 
-from .engine.core import EvaluationEngine
+from .engine.core import EvaluationEngine, canonicalize_sequence
 from .hls.delays import HLSConstraints
 from .hls.profiler import CycleProfiler, CycleReport, HLSCompilationError
 from .ir.cloning import clone_module
 from .ir.module import Module
 from .passes import PassManager, pass_name_for_index
 from .passes.pipelines import O3_PIPELINE
-from .passes.registry import TERMINATE_INDEX
 
 __all__ = ["clone_module", "HLSToolchain"]
 
@@ -142,19 +141,16 @@ class HLSToolchain:
         was — hand it to ``engine.evaluate_prepared(..., changed=...)``
         so a step that did nothing is not sampled again.
 
-        A ``-terminate`` action ends the sequence early, mirroring the RL
+        Read as the engine reads it (``canonicalize_sequence``): a
+        ``-terminate`` action ends the sequence early, mirroring the RL
         environment's semantics.
         """
         pm = PassManager()
         changed = False
-        for action in actions:
-            if isinstance(action, int):
-                if action == TERMINATE_INDEX:
-                    break
-                action = pass_name_for_index(action)
-            elif action == "-terminate":
-                break
-            changed |= pm.run(module, [action])
+        for element in canonicalize_sequence(actions):
+            name = (pass_name_for_index(element) if isinstance(element, int)
+                    else element)
+            changed |= pm.run(module, [name])
         return changed
 
     def o3_sequence(self) -> List[str]:

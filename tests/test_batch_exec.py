@@ -449,8 +449,8 @@ class TestSatellites:
         assert len(fps) == 1
 
     def test_worker_batches_shard_submissions(self, benchmarks, tmp_path):
-        """evaluate_many (the per-shard batched path) returns exactly what
-        per-item evaluate_one returns, and persists results for the next
+        """evaluate_many over a whole submission returns exactly what it
+        returns one item at a time, and persists results for the next
         client over the same store."""
         from repro.service import ResultStore
         from repro.service.fingerprint import program_fingerprint
@@ -473,7 +473,7 @@ class TestSatellites:
 
         batched = shard(tmp_path / "a").evaluate_many(1, items)
         serial_shard = shard(tmp_path / "b")
-        serial = [serial_shard.evaluate_one(1, item) for item in items]
+        serial = [serial_shard.evaluate_many(1, [item])[0] for item in items]
         assert batched == serial
 
         # a fresh client over the same store answers every item from the

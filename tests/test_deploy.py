@@ -174,6 +174,22 @@ class TestPolicyRunner:
         second = runner.optimize(benchmarks["adpcm"], refine=4, seed=3)
         assert first.to_json() == second.to_json()
 
+    def test_pipelined_requests_decide_as_they_would_alone(self, benchmarks,
+                                                           trained_ppo2):
+        # refine candidates depend on the request, never on its slot in
+        # the wave
+        trainer, toolchain = trained_ppo2
+        runner = PolicyRunner(
+            trainer.agent,
+            PolicySpec(observation="both", episode_length=5,
+                       normalization="log"),
+            toolchain=toolchain)
+        modules = [benchmarks[n] for n in ("adpcm", "mpeg2", "adpcm")]
+        wave = runner.optimize_batch(modules, refine=8, seed=5)
+        solo = [runner.optimize(module, refine=8, seed=5)
+                for module in modules]
+        assert [d.to_json() for d in wave] == [d.to_json() for d in solo]
+
 
 class TestRegistry:
     @pytest.mark.parametrize("name,overrides", [

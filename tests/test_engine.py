@@ -142,21 +142,124 @@ class TestCacheCorrectness:
         assert doubled.evaluate_batch(seqs) == [2 * v for v in plain.evaluate_batch(seqs)]
 
     def test_batch_surfaces_crashes_with_offending_sequence(self, benchmarks):
-        # An HLS memo failure is a legitimate None result; an unexpected
-        # worker exception must surface with the candidate attached, not
-        # as a bare traceback indistinguishable from any other sequence.
-        from repro.engine import BatchEvaluationError, canonicalize_sequence
+        # An unexpected exception fails that candidate only: its row is
+        # None like any failing sequence, its siblings complete, and the
+        # memo names the crash and the sequence it belongs to.
+        from repro.engine import EvaluationCrash, canonicalize_sequence
 
         tc = HLSToolchain()
         program = benchmarks["gsm"]
         good, bogus = [38, 31], [NUM_TRANSFORMS + 1000]  # out-of-table index
-        with pytest.raises(BatchEvaluationError) as excinfo:
-            tc.engine.evaluate_batch(program, [good, bogus])
-        assert excinfo.value.sequence == canonicalize_sequence(bogus)
-        assert isinstance(excinfo.value.original, IndexError)
+        rows = tc.engine.evaluate_batch(program, [good, bogus])
+        assert rows == [HLSToolchain(use_engine=False).cycle_count_with_passes(
+            program, good), None]
+        crash = tc.engine.memoized_failure(program, bogus)
+        assert isinstance(crash, EvaluationCrash)
+        assert crash.sequence == canonicalize_sequence(bogus)
+        assert tc.engine.cache_info()["internal_errors"] == 1
+        # the good candidate was memoized on the way
+        taken = tc.samples_taken
+        assert tc.cycle_count_with_passes(program, good) == rows[0]
+        assert tc.samples_taken == taken
+
+    def test_crash_is_a_memoized_failure_of_that_sequence(self, benchmarks,
+                                                          monkeypatch):
+        from repro.engine import EvaluationCrash
+        from repro.passes.base import PASS_CONSTRUCTORS, Pass
+
+        class Crash(Pass):
+            name = "-crash"
+
+            def run(self, module):
+                raise RuntimeError("pass bug")
+
+        monkeypatch.setitem(PASS_CONSTRUCTORS, "-crash", Crash)
+        toolchain = HLSToolchain()
+        engine, program = toolchain.engine, benchmarks["gsm"]
+        a, b = _changing(program, "-mem2reg", "-instcombine")
+        bad = [a, "-crash", b]
+        good = engine.evaluate(program, [a, b])
+        with pytest.raises(EvaluationCrash) as excinfo:
+            engine.evaluate(program, bad)
+        assert excinfo.value.sequence == (a, "-crash", b)
+        assert isinstance(excinfo.value.original, RuntimeError)
         assert excinfo.value.__cause__ is excinfo.value.original
-        # the good candidate was still evaluated and memoized on the way
-        assert tc.cycle_count_with_passes(program, good) > 0
+        # a replay, alone or in a batch, takes no sample and runs no pass
+        taken, applied = toolchain.samples_taken, engine.stats.passes_applied
+        assert engine.evaluate_batch(program, [[a, b], bad]) == [good, None]
+        with pytest.raises(EvaluationCrash):
+            engine.evaluate(program, bad)
+        assert toolchain.samples_taken == taken
+        assert engine.stats.passes_applied == applied
+        info = engine.cache_info()
+        assert info["internal_errors"] == 1 and info["failures_memoized"] == 0
+
+    def test_wave_lane_crash_fails_that_lane_only(self, benchmarks,
+                                                  monkeypatch):
+        from repro.engine import EvaluationCrash
+
+        toolchain = HLSToolchain()
+        engine, program = toolchain.engine, benchmarks["gsm"]
+        real = toolchain.objective_values_batch
+
+        def crash_last_lane(modules, *args, **kwargs):
+            return real(modules, *args, **kwargs)[:-1] + [
+                ZeroDivisionError("simulator bug")]
+
+        monkeypatch.setattr(toolchain, "objective_values_batch",
+                            crash_last_lane)
+        rows = engine.evaluate_batch(program, [[38], [38, 31]],
+                                     want_features=True)
+        assert rows[0][0] == HLSToolchain(
+            use_engine=False).cycle_count_with_passes(program, [38])
+        # the module was built, so the crashed row still has features
+        assert rows[1][0] is None
+        np.testing.assert_array_equal(
+            rows[1][1], HLSToolchain(use_engine=False).features_after(
+                program, [38, 31]))
+        assert isinstance(engine.memoized_failure(program, [38, 31]),
+                          EvaluationCrash)
+        assert engine.cache_info()["internal_errors"] == 1
+
+    def test_unbuildable_crash_row_has_no_features(self, benchmarks):
+        tc = HLSToolchain()
+        rows = tc.engine.evaluate_batch(
+            benchmarks["gsm"], [[38], [NUM_TRANSFORMS + 1000]],
+            want_features=True)
+        assert rows[0][0] is not None and rows[1] == (None, None)
+        assert tc.cache_info()["internal_errors"] == 1
+
+    def test_verification_error_is_never_contained(self, benchmarks,
+                                                   monkeypatch):
+        # a divergence between executors is a simulator bug, never a
+        # failing sequence: it escapes the batch
+        from repro.interp.kernels import VerificationError
+
+        def diverge(self, *args, **kwargs):
+            raise VerificationError("planted divergence")
+
+        monkeypatch.setattr(CycleProfiler, "profile", diverge)
+        monkeypatch.setattr(CycleProfiler, "profile_batch", diverge)
+        tc = HLSToolchain()
+        for sequences in ([[38]], [[38], [38, 31]]):
+            with pytest.raises(Exception, match="planted divergence") \
+                    as excinfo:
+                tc.engine.evaluate_batch(benchmarks["gsm"], sequences)
+            assert not isinstance(excinfo.value, HLSCompilationError)
+
+    @pytest.mark.parametrize("mode", ["off", "on", "verify"])
+    def test_ga_search_survives_a_crashing_candidate(self, mode):
+        # qsort GA seed 0 draws a candidate that crashes a pass; the
+        # search completes around it
+        from repro.programs.chstone import build_qsort
+        from repro.search.genetic import GAConfig, genetic_search
+
+        tc = HLSToolchain(sim_kernels=mode)
+        result = genetic_search(build_qsort(),
+                                GAConfig(population=20, generations=2),
+                                toolchain=tc, seed=0)
+        assert result.best_cycles == 1668
+        assert tc.cache_info()["internal_errors"] == 1
 
     def test_failure_memoized_and_reraised(self, benchmarks):
         tc = HLSToolchain(max_steps=50)  # everything blows the step budget

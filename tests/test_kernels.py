@@ -340,12 +340,11 @@ class TestBudgetFailures:
         shard = self._shard(tmp_path, max_steps=50)
         program = benchmarks["qsort"]
         shard.register(1, program_fingerprint(program), program)
-        tag, feat, is_budget = shard.evaluate_one(1, ([], "cycles", 0.05,
-                                                      "main", False))
+        item = ([], "cycles", 0.05, "main", False)
+        tag, feat, is_budget = shard.evaluate_many(1, [item])[0]
         assert tag == "failed" and is_budget is True
         # a repeat answers from the engine memo with the same shape
-        tag, feat, is_budget = shard.evaluate_one(1, ([], "cycles", 0.05,
-                                                      "main", False))
+        tag, feat, is_budget = shard.evaluate_many(1, [item])[0]
         assert tag == "failed" and is_budget is True
         assert shard.store.stats()["budget_failed_results"] >= 1
 
@@ -355,8 +354,8 @@ class TestBudgetFailures:
         module = self._trap_module()
         shard = self._shard(tmp_path)
         shard.register(1, program_fingerprint(module), module)
-        tag, feat, is_budget = shard.evaluate_one(1, ([], "cycles", 0.05,
-                                                      "main", False))
+        tag, feat, is_budget = shard.evaluate_many(
+            1, [([], "cycles", 0.05, "main", False)])[0]
         assert tag == "failed" and is_budget is False
 
     def test_batch_rows_none_but_sentinels_distinct(self, benchmarks, tmp_path):
@@ -369,6 +368,35 @@ class TestBudgetFailures:
         assert all(v is FAILED_BUDGET for v in prog.persisted.values())
         assert FAILED is not FAILED_BUDGET
         tc.close()
+
+
+class TestErrorCategoryParity:
+    """A kernel failure is the reference's failure, category included."""
+
+    @pytest.mark.parametrize("mode", ["off", "on", "verify"])
+    def test_undefined_value_read_traps_in_every_mode(self, benchmarks,
+                                                      mode):
+        # this sequence leaves a use of a value whose definition never
+        # ran; the reference traps, the kernels once raised TypeError
+        tc = HLSToolchain(sim_kernels=mode)
+        with pytest.raises(HLSCompilationError) as excinfo:
+            tc.cycle_count_with_passes(
+                benchmarks["qsort"], [9, 11, 23, 11, 36, 8, 9, 38, 42, 31,
+                                      13, 23])
+        assert type(excinfo.value) is HLSCompilationError
+        assert "use of undefined value" in str(excinfo.value)
+
+    @pytest.mark.parametrize("mode", ["off", "on", "verify"])
+    def test_ga_search_meets_no_crash(self, mode):
+        from repro.programs.chstone import build_mpeg2
+        from repro.search.genetic import GAConfig, genetic_search
+
+        tc = HLSToolchain(sim_kernels=mode)
+        result = genetic_search(build_mpeg2(),
+                                GAConfig(population=20, generations=2),
+                                toolchain=tc, seed=4)
+        assert result.best_cycles == 481
+        assert tc.cache_info()["internal_errors"] == 0
 
 
 class TestPlanAndKernelCachesCleared:

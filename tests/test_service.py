@@ -348,20 +348,34 @@ class TestWorkerErrorSurfacing:
     @pytest.mark.parametrize("workers", [0, 1])
     def test_worker_crash_carries_offending_sequence(self, benchmarks,
                                                      tmp_path, workers):
-        from repro.engine import BatchEvaluationError
+        from repro.engine import EvaluationCrash
 
         program = benchmarks["gsm"]
+        # an out-of-range pass index crashes inside the shard's engine
+        # (not an HLSCompilationError): a failure of that sequence only
+        bogus = [NUM_TRANSFORMS + 1000]
         tc = _service_toolchain(tmp_path, workers=workers)
         try:
-            # an out-of-range pass index crashes inside the shard's
-            # engine (not an HLSCompilationError memo)
-            bogus = [NUM_TRANSFORMS + 1000]
-            with pytest.raises(BatchEvaluationError) as excinfo:
-                tc.engine.evaluate_batch(program, [[38], [31, 7], bogus])
-            assert excinfo.value.sequence == canonicalize_sequence(bogus)
+            rows = tc.engine.evaluate_batch(program, [[38], [31, 7], bogus])
+            assert rows[:2] == HLSToolchain().engine.evaluate_batch(
+                program, [[38], [31, 7]])
+            assert rows[2] is None
+            rows = tc.engine.evaluate_batch(program, [[38], bogus],
+                                            want_features=True)
+            assert rows[0][0] is not None and rows[1] == (None, None)
+            crash = tc.engine.submit(program, bogus).exception()
+            assert isinstance(crash, EvaluationCrash)
+            assert crash.sequence == canonicalize_sequence(bogus)
+            fingerprints = (tc.engine._ensure_program(program).fingerprint,
+                            tc.engine.toolchain_fp)
         finally:
             tc.close()
-        # the crash does not cost its siblings: they were persisted, so a
+        # no store record holds the crash ...
+        values, features = ResultStore(str(tmp_path)).load_with_features(
+            *fingerprints)
+        assert {key[3] for key in values} == {(38,), (31, 7)}
+        assert canonicalize_sequence(bogus) not in features
+        # ... and it did not cost its siblings: they were persisted, so a
         # fresh client over the same store answers them sample-free
         fresh = _service_toolchain(tmp_path, workers=workers)
         try:
@@ -372,15 +386,62 @@ class TestWorkerErrorSurfacing:
 
     def test_in_process_client_keeps_the_same_error_contract(self, benchmarks,
                                                              tmp_path):
-        from repro.engine import BatchEvaluationError
+        from repro.engine import EvaluationCrash
 
+        program = benchmarks["gsm"]
         tc = _service_toolchain(tmp_path, workers=0)
         bogus = [NUM_TRANSFORMS + 1000]
-        with pytest.raises(BatchEvaluationError) as excinfo:
-            tc.engine.evaluate_batch(benchmarks["gsm"], [[38], bogus])
-        assert excinfo.value.sequence == canonicalize_sequence(bogus)
-        future = tc.engine.submit(benchmarks["gsm"], bogus)
-        assert isinstance(future.exception(), BatchEvaluationError)
+        assert tc.engine.evaluate_batch(program, [[38], bogus]) == \
+            HLSToolchain().engine.evaluate_batch(program, [[38], bogus])
+        # the local engine's module paths raise the same crash and
+        # persist it neither
+        for query in (tc.engine.evaluate, tc.engine.evaluate_with_module):
+            with pytest.raises(EvaluationCrash) as excinfo:
+                query(program, bogus)
+            assert excinfo.value.sequence == canonicalize_sequence(bogus)
+        key = make_key("cycles", 0.05, "main", canonicalize_sequence(bogus))
+        assert key not in tc.engine._ensure_program(program).persisted
+        assert tc.engine.store.stats()["failed_results"] == 0
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_verification_error_is_a_worker_fault(self, benchmarks, tmp_path,
+                                                  monkeypatch, workers):
+        # a kernel divergence is never a failing sequence: through the
+        # service it arrives as a non-HLS error in both modes (a forked
+        # worker inherits the planted profiler)
+        from repro.hls.profiler import CycleProfiler
+        from repro.interp.kernels import VerificationError
+
+        def diverge(self, *args, **kwargs):
+            raise VerificationError("planted divergence")
+
+        monkeypatch.setattr(CycleProfiler, "profile", diverge)
+        monkeypatch.setattr(CycleProfiler, "profile_batch", diverge)
+        tc = _service_toolchain(tmp_path, workers=workers)
+        try:
+            with pytest.raises(RuntimeError, match="planted divergence") \
+                    as excinfo:
+                tc.engine.evaluate_batch(benchmarks["gsm"], [[38], [38, 31]])
+            assert not isinstance(excinfo.value, HLSCompilationError)
+        finally:
+            tc.close()
+
+    def test_failed_registration_fails_every_evaluation(self, tmp_path):
+        # a worker registers the pickle and loads it at first use: a bad
+        # one, like an unknown program, is an "error" for every item
+        from repro.service.worker import Shard
+
+        tc = HLSToolchain()
+        shard = Shard(tc.engine, ResultStore(str(tmp_path)),
+                      toolchain_fingerprint(tc))
+        shard.register(1, "0" * 16, b"not a pickle")
+        item = ([38], "cycles", 0.05, "main", False)
+        for _ in range(2):
+            replies = shard.evaluate_many(1, [item, item])
+            assert [reply[0] for reply in replies] == ["error", "error"]
+            assert "UnpicklingError" in replies[0][1]
+        assert shard.evaluate_many(2, [item])[0][0] == "error"
+        assert tc.samples_taken == 0
 
     def test_dead_worker_fails_inflight_instead_of_hanging(self, benchmarks,
                                                            tmp_path):

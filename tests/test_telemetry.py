@@ -344,6 +344,18 @@ class TestInstrumentedStack:
         # kernel compile/execute split (sim kernels default on)
         assert any(n.startswith(("kernel.", "interp.")) for n in hists), hists
 
+    def test_internal_errors_counted_in_both_places(self, telemetry_mode,
+                                                    benchmarks):
+        from repro.passes.registry import NUM_TRANSFORMS
+
+        tm.configure("on")
+        tc = HLSToolchain()
+        bogus = [NUM_TRANSFORMS + 1000]  # crashes: an out-of-table index
+        for _ in range(2):  # the replay is a memo hit, not a new crash
+            tc.engine.evaluate_batch(benchmarks["gsm"], [[38], bogus])
+        assert tm.snapshot()["counters"]["engine.internal_error"] == \
+            tc.cache_info()["internal_errors"] == 1
+
     def test_worker_snapshots_and_per_worker_accounting(
             self, telemetry_mode, benchmarks, tmp_path):
         tm.configure("on")

@@ -65,6 +65,24 @@ class TestToolchain:
             benchmarks["gsm"], [pass_index_for_name("-mem2reg")])
         assert by_name == by_index
 
+    def test_reference_reads_sequences_as_the_engine_does(self, benchmarks):
+        import numpy as np
+
+        from repro.ir import module_to_str
+        from repro.passes.registry import NUM_TRANSFORMS
+
+        reference = HLSToolchain(use_engine=False)
+        by_numpy = clone_module(benchmarks["gsm"])
+        by_int = clone_module(benchmarks["gsm"])
+        assert reference.apply_passes(by_numpy, [np.int64(3)]) == \
+            reference.apply_passes(by_int, [3])
+        assert module_to_str(by_numpy) == module_to_str(by_int)
+        sequence = np.random.default_rng(7).integers(0, NUM_TRANSFORMS,
+                                                     size=12)
+        assert reference.cycle_count_with_passes(benchmarks["gsm"], sequence) \
+            == HLSToolchain().cycle_count_with_passes(benchmarks["gsm"],
+                                                      sequence)
+
     def test_sample_counter(self, benchmarks):
         tc = HLSToolchain()
         tc.cycle_count_with_passes(benchmarks["gsm"], [])
