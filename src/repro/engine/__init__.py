@@ -70,13 +70,11 @@ without a clone whenever the visit-count rule promotes the leaf
 (``snapshot_min_visits=1`` promotes every evaluated leaf at once: one
 clone and one pass per step of an RL / inference chain). Modules that
 *leave* the engine (``materialize``, ``evaluate_with_module``) are
-private copies the caller may mutate freely. A module that *enters*
-(``evaluate_prepared``) brings the verdict of its last pass along
-(``changed=``, what ``HLSToolchain.apply_passes`` returned), so the
-incremental RL path learns the same trie — and takes the same samples —
-as the sequence path; without it the unknown part of the path is only
-*assumed* to consist of edges, and an assumed edge is retracted the
-first time a real run of its pass says it did nothing.
+private copies the caller may mutate freely. No module ever *enters*:
+every caller — search, the vectorized and the sequential RL
+environments, the policy runner — asks for a pass sequence, so every
+edge and no-op the trie records is the verdict of a pass the engine ran
+itself.
 
 **Feature memo.** Key: ``(id(base program), canonical sequence)``, then
 ``(id(base program), effective sequence)`` — objective-independent,

@@ -176,8 +176,8 @@ class EvaluationEngine:
                  want_module: bool = False, wave: Optional[Dict] = None
                  ) -> Tuple[Optional[float], Optional[np.ndarray],
                             Optional[Module], List[Tuple]]:
-        """Answer one query as far as the caches go; every entry point
-        but :meth:`evaluate_prepared` is a thin wrapper around this.
+        """Answer one query as far as the caches go; every entry point is
+        a thin wrapper around this.
 
         ``tail`` is ``(objective, area_weight, entry)``, or ``None`` when
         no value is asked for. Lookups go raw canonical key first (a warm
@@ -328,52 +328,12 @@ class EvaluationEngine:
         return value, module, feats
 
     def evaluate_prepared(self, program: Module, actions: Sequence[Action],
-                          module: Module, objective: str = "cycles",
-                          area_weight: float = 0.05, entry: str = "main",
+                          module: Optional[Module] = None,
+                          objective: str = "cycles", area_weight: float = 0.05,
+                          entry: str = "main",
                           changed: Optional[bool] = None) -> float:
-        """Evaluate a module the caller already optimized to ``actions``
-        (the incremental RL-environment path: the env applies one pass per
-        step to its own working module, so the engine must not re-apply the
-        sequence). Memo hits skip profiling; either way the trie learns the
-        path so black-box searches can reuse RL-explored sequences.
-
-        ``changed`` is what the pass manager returned for the *last* pass
-        of ``actions`` (:meth:`HLSToolchain.apply_passes` hands it back):
-        with it the trie records a no-op as a no-op and this path takes
-        exactly the samples :meth:`evaluate` takes for the same queries.
-        ``None``: a finished module cannot tell, so every pass the trie
-        knows nothing about is assumed to have changed it — the sequence
-        keeps its raw key until a real run says otherwise."""
-        canonical = canonicalize_sequence(actions)
-        pid, tail = id(program), (objective, area_weight, entry)
-        keys = [(pid, canonical) + tail]
-        trie = self._trie_for(program)
-        told = changed is not None and bool(canonical)
-        with self._lock:
-            res = trie.resolve(canonical[:-1] if told else canonical,
-                               assume=True)
-            if told and res.tracked:
-                trie.advance(res, canonical[-1], changed)
-            # untracked (the node budget ran out on the way): raw key only
-            effective = tuple(res.effective) if res.tracked else canonical
-            if effective != canonical:
-                keys.append((pid, effective) + tail)
-            value = self._memo.get(keys[0])
-            effective_hit = False
-            if value is None and len(keys) > 1:
-                value = self._memo.get(keys[1])
-                effective_hit = value is not None
-                if effective_hit:
-                    self._memo.put(keys[0], value)
-            self._count_lookup(value is not None, effective_hit)
-        if res.tracked and res.nodes:
-            self._store_snapshot(trie, res.nodes[-1], module, copy=True)
-        failure = failure_for(value, canonical)
-        if failure is not None:
-            raise failure
-        if value is None:
-            value = self._profile(module, keys, objective, area_weight, entry)
-        return value
+        # only for benchmarks/e2e/tracing.py's name list; module/changed unused
+        return self.evaluate(program, actions, objective, area_weight, entry)
 
     # -- feature queries ------------------------------------------------------
     def features_after(self, program: Module,
@@ -547,11 +507,8 @@ class EvaluationEngine:
         extraction) — it may *be* a trie snapshot, or become one, and
         must never be mutated."""
         with tm.span("engine.materialize", depth=len(res.effective)):
-            module = None
-            while module is None:  # again only after a retracted edge
-                self._finish(trie, res)
-                module = self._realize(trie, res, leaf=True, private=private)
-            return module
+            self._finish(trie, res)
+            return self._realize(trie, res, leaf=True, private=private)
 
     def _finish(self, trie: PrefixTrie, res: Resolution) -> None:
         """Resolve what the trie could not answer: while an unknown
@@ -566,13 +523,12 @@ class EvaluationEngine:
         with tm.span("engine.materialize", depth=len(res.rest)):
             while res.rest:
                 module = self._realize(trie, res)
-                if module is not None:
-                    element, rest = res.rest[0], res.rest[1:]
-                    changed = self._apply(module, element)
-                    with self._lock:
-                        trie.advance(res, element, changed)
-                        res.hold(module)
-                        trie.resolve(rest, res=res)
+                element, rest = res.rest[0], res.rest[1:]
+                changed = self._apply(module, element)
+                with self._lock:
+                    trie.advance(res, element, changed)
+                    res.hold(module)
+                    trie.resolve(rest, res=res)
 
     def _apply(self, module: Module, element: Element) -> bool:
         name = pass_name_for_index(element) if isinstance(element, int) else element
@@ -583,14 +539,14 @@ class EvaluationEngine:
         return changed
 
     def _realize(self, trie: PrefixTrie, res: Resolution, leaf: bool = False,
-                 private: bool = False) -> Optional[Module]:
+                 private: bool = False) -> Module:
         """A module in the state ``res``'s known path ends in: the one in
         hand, or a copy of the deepest snapshot, with the known edges
-        below it re-applied. ``leaf``: that state is the sequence's last,
-        so unless ``private`` the module is only going to be read — a
-        snapshot may be returned as it is, and a module built here may
-        become one. ``None`` when a re-applied edge did nothing and was
-        retracted: ``res`` changed, ask again."""
+        below it re-applied (each came from a real run of its pass, and
+        is trusted to change the module again). ``leaf``: that state is
+        the sequence's last, so unless ``private`` the module is only
+        going to be read — a snapshot may be returned as it is, and a
+        module built here may become one."""
         effective = res.effective
         if not res.owned:
             if res.depth > 0:
@@ -603,13 +559,8 @@ class EvaluationEngine:
         module = res.source
         while res.depth < len(effective):
             self._snapshot_on_grid(trie, res, module)
-            changed = self._apply(module, effective[res.depth])
-            res.depth += changed
-            if not changed:
-                with self._lock:
-                    trie.retract(res, res.depth)
-                    trie.resolve(res.rest, res=res)
-                return None
+            self._apply(module, effective[res.depth])
+            res.depth += 1
         if leaf:
             self._admit_leaf(trie, res, copy=private)
         else:

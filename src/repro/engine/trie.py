@@ -16,11 +16,10 @@ goes on — without a module again if the pass did nothing.
 
 Soundness rests on one contract (``Pass.run``'s docstring, pinned by
 ``tests/test_pass_changed_contract.py``): a pass that returns ``False``
-left the module exactly as it found it. A recorded edge is re-checked
-whenever its pass is re-applied below a snapshot, so an edge that was
-only assumed (``resolve(assume=True)`` — a finished module handed in
-from outside) is retracted to a self-loop, subtree and snapshots
-released, the first time the pass says so.
+left the module exactly as it found it. Every edge and every self-loop
+is the verdict of a real run of its pass at that state — the engine is
+the only writer, and it only ever hands the trie sequences, never a
+module built elsewhere — so a recorded fact is never revised.
 
 Snapshots are immutable once stored (the engine always clones *from*
 them, never applies passes *to* them; one may be the very module an
@@ -94,12 +93,6 @@ class SnapshotLRU:
             victim.snapshot = None
             self.evictions += 1
 
-    def discard(self, node: _TrieNode) -> None:
-        """Release ``node``'s snapshot (the node left its trie)."""
-        if node in self._order:
-            del self._order[node]
-            node.snapshot = None
-
     def __len__(self) -> int:
         return len(self._order)
 
@@ -153,24 +146,17 @@ class PrefixTrie:
         self.budget = budget
         self.root = _TrieNode()
 
-    def end(self, res: Resolution, depth: Optional[int] = None) -> _TrieNode:
-        """The state ``res``'s known path (or its first ``depth``
-        elements) ends in."""
-        depth = len(res.nodes) if depth is None else depth
-        return res.nodes[depth - 1] if depth else self.root
+    def end(self, res: Resolution) -> _TrieNode:
+        """The state ``res``'s known path ends in."""
+        return res.nodes[-1] if res.nodes else self.root
 
-    def resolve(self, sequence: Tuple[Element, ...], assume: bool = False,
+    def resolve(self, sequence: Tuple[Element, ...],
                 res: Optional[Resolution] = None) -> Resolution:
         """Walk ``sequence`` — from the root, or on from where ``res``
         stands — through known children and known no-ops, visit-counting
         the states it passes and touching their snapshots, up to the
         first unknown ``(node, pass)`` pair; what is left goes to
-        ``res.rest``.
-
-        ``assume=True`` is for a module the caller already built: nothing
-        can be run to ask, so an unknown element is *assumed* to change
-        the state and gets an edge (the next real run of the pass there
-        corrects a wrong guess, see :meth:`retract`)."""
+        ``res.rest``."""
         if res is None:
             res = Resolution(self.program)
         node = self.end(res)
@@ -181,10 +167,7 @@ class PrefixTrie:
             else:
                 child = node.children.get(element)
                 if child is None:
-                    if assume:
-                        child = self._new_child(res, node, element)
-                    if child is None:
-                        break
+                    break
                 child.visits += 1
                 res.nodes.append(child)
                 res.effective.append(element)
@@ -206,7 +189,7 @@ class PrefixTrie:
         if res.tracked:
             node = self.end(res)
             if not changed:
-                self._self_loop(node, element)
+                node.noops.add(element)
                 return
             child = node.children.get(element) \
                 or self._new_child(res, node, element)
@@ -218,16 +201,6 @@ class PrefixTrie:
         if changed:
             res.effective.append(element)
 
-    def retract(self, res: Resolution, depth: int) -> None:
-        """The edge ``res`` took at ``depth`` was re-run and did nothing
-        (it had only been assumed): make it a self-loop, release the
-        subtree and its snapshots, and hand everything below it back to
-        ``res.rest`` — the same passes, to be resolved from here."""
-        self._self_loop(self.end(res, depth), res.effective[depth])
-        res.rest = tuple(res.effective[depth + 1:]) + res.rest
-        del res.nodes[depth:], res.effective[depth:]
-        res.shared = min(res.shared, depth)
-
     def _new_child(self, res: Resolution, node: _TrieNode,
                    element: Element) -> Optional[_TrieNode]:
         if self.budget is not None and not self.budget.take():
@@ -235,19 +208,6 @@ class PrefixTrie:
             return None
         child = node.children[element] = _TrieNode()
         return child
-
-    def _self_loop(self, node: _TrieNode, element: Element) -> None:
-        """``element`` does nothing at ``node``; an edge that was there
-        for it goes, with everything below it and their snapshots."""
-        node.noops.add(element)
-        child = node.children.pop(element, None)
-        stack = [child] if child is not None else []
-        while stack:
-            node = stack.pop()
-            self.lru.discard(node)
-            if self.budget is not None:
-                self.budget.used -= 1
-            stack.extend(node.children.values())
 
     def want_snapshot(self, node: _TrieNode) -> bool:
         return node.snapshot is None and node.visits >= self.min_visits

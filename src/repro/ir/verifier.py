@@ -105,9 +105,29 @@ def verify_function(func: Function, collect: bool = False) -> List[str]:
                 elif rv is None:
                     _err(errors, f"{bb.name}: ret void in non-void function {func.name}")
 
+    if not errors:
+        _check_dominance(func, errors)
     if not collect and errors:
         raise VerificationError(f"function @{func.name}:\n  " + "\n  ".join(errors))
     return errors
+
+
+def _check_dominance(func: Function, errors: List[str]) -> None:
+    """SSA's def-dominates-use rule, on a structurally clean function: a
+    phi use sits at the end of its incoming block, every other use at its
+    instruction. Uses in unreachable blocks are not checked."""
+    from ..analysis.dominators import DominatorTree
+
+    dom = DominatorTree(func)
+    for bb in func.blocks:
+        for inst in bb.instructions:
+            is_phi = isinstance(inst, PhiNode)
+            for i, op in enumerate(inst.operands):
+                at = inst.incoming_blocks[i] if is_phi else bb
+                if isinstance(op, Instruction) and dom.contains(at) \
+                        and not dom.dominates(op, inst, at):
+                    _err(errors, f"{bb.name}:{inst.name}: use of %{op.name} "
+                                 f"is not dominated by its definition")
 
 
 def verify_module(module: Module, collect: bool = False) -> List[str]:

@@ -12,6 +12,11 @@ Both follow the OpenAI-gym protocol (``reset() → obs``,
 ``step(a) → (obs, reward, done, info)``) the paper's RLlib agents
 consume, and both count simulator invocations through the toolchain so
 the samples-per-program comparison of Figure 7 falls out directly.
+
+With an engine behind the toolchain an env holds no module: every reset
+and step asks for "the program after the applied pass list", as the
+vectorized lanes do. Without one (``HLSToolchain(use_engine=False)``)
+an env applies passes to its own clone — the uncached reference.
 """
 
 from __future__ import annotations
@@ -66,6 +71,40 @@ def initial_cycles_for(owner, program_index: int) -> int:
             owner.programs[program_index], [])
         owner._initial_cycles_cache[program_index] = cached
     return cached
+
+
+def _engine_score(env, program: Module, sequence: Sequence[int],
+                  **query) -> float:
+    """One sequence query of a sequential env with an engine: the
+    objective value of ``program`` after ``sequence`` and, under feature
+    observations, the features of that state in the same query
+    (``env.features``). A failing sequence leaves the features of its
+    module behind — or the last good ones when the module could not be
+    built, the lanes' rule — and re-raises."""
+    engine = env.toolchain.engine
+    if env.observation not in ("features", "both"):
+        return engine.evaluate(program, sequence, **query)
+    try:
+        value, env.features = engine.evaluate_with_features(
+            program, sequence, **query)
+    except HLSCompilationError:
+        try:
+            env.features = engine.features_after(program, sequence)
+        except HLSCompilationError:
+            pass  # no module to read: keep the last good features
+        raise
+    return value
+
+
+def _current_features(env) -> Optional[np.ndarray]:
+    """Raw features of a sequential env's current state when its
+    observation shows them: the engine's answer, or the working
+    module's."""
+    if env.observation not in ("features", "both"):
+        return None
+    if env.toolchain.engine is not None:
+        return env.features
+    return features_for(env.module)
 
 
 def phase_order_observation(observation: ObservationMode,
@@ -161,8 +200,10 @@ class PhaseOrderEnv:
         self.seed = seed
         self.rng = np.random.default_rng(seed)
 
-        # episode state
+        # episode state: the working module without an engine, the current
+        # state's raw features (_engine_score) with one
         self.module: Optional[Module] = None
+        self.features: Optional[np.ndarray] = None
         self.histogram = np.zeros(NUM_ACTIONS, dtype=np.int64)
         self.prev_cycles = 0
         self.initial_cycles = 0
@@ -170,7 +211,7 @@ class PhaseOrderEnv:
         self.applied: List[int] = []
         self.best_cycles = 0
         self.best_sequence: List[int] = []
-        self._program_index = 0
+        self._program_index: Optional[int] = None
         # Candidate evaluations requested across the env's lifetime — the
         # paper's samples-per-program unit (one per reset/step, whether the
         # engine answered from cache or the simulator).
@@ -191,28 +232,23 @@ class PhaseOrderEnv:
         return n_features + NUM_ACTIONS
 
     # -- gym protocol ------------------------------------------------------------
-    def _measure(self, changed: Optional[bool] = None) -> float:
-        """Objective value of the working module. Engine-backed: the env
-        applies passes incrementally to its own module, so the engine is
-        handed the already-optimized module (``evaluate_prepared``) — a
-        memo hit (a sequence any episode explored before, or one that
-        differs from it only by passes that did nothing — ``changed`` is
-        the last pass's verdict) answers without burning a simulator
-        sample."""
-        assert self.module is not None
+    def _measure(self) -> float:
+        """Objective value after ``self.applied``: an engine query for the
+        sequence (a memo hit — a sequence any episode explored before, or
+        one that differs from it only by passes that did nothing — burns
+        no simulator sample), or a profile of the working module."""
         self.evaluations += 1
-        engine = self.toolchain.engine
-        if engine is not None:
-            return engine.evaluate_prepared(
-                self.programs[self._program_index], tuple(self.applied),
-                self.module, objective=self.objective, changed=changed)
+        if self.toolchain.engine is not None:
+            return _engine_score(self, self.programs[self._program_index],
+                                 self.applied, objective=self.objective)
         return self.toolchain.objective_value(self.module, self.objective)
 
     def reset(self, program_index: Optional[int] = None) -> np.ndarray:
         if program_index is None:
             program_index = int(self.rng.integers(len(self.programs)))
         self._program_index = program_index
-        self.module = clone_module(self.programs[program_index])
+        if self.toolchain.engine is None:
+            self.module = clone_module(self.programs[program_index])
         self.histogram = np.zeros(NUM_ACTIONS, dtype=np.int64)
         self.steps = 0
         self.applied = []
@@ -223,7 +259,7 @@ class PhaseOrderEnv:
         return self._observe()
 
     def step(self, action: int) -> Tuple[np.ndarray, float, bool, Dict]:
-        assert self.module is not None, "call reset() first"
+        assert self._program_index is not None, "call reset() first"
         pass_index = self.action_indices[action]
         self.steps += 1
         done = self.steps >= self.episode_length
@@ -234,11 +270,13 @@ class PhaseOrderEnv:
         self.applied.append(pass_index)
         self.histogram[pass_index] += 1
         try:
-            cycles = self._measure(
-                self.toolchain.apply_passes(self.module, [pass_index]))
+            if self.toolchain.engine is None:
+                self.toolchain.apply_passes(self.module, [pass_index])
+            cycles = self._measure()
         except HLSCompilationError:
             # The sequence broke HLS compilation (e.g. blew the step
-            # budget): strongly negative signal, episode over.
+            # budget) or, with an engine, crashed: strongly negative
+            # signal, episode over.
             return (self._observe(),
                     failure_reward(self.reward_mode, self.prev_cycles),
                     True, self._info(failed=True))
@@ -249,11 +287,9 @@ class PhaseOrderEnv:
 
     # -- helpers -------------------------------------------------------------------
     def _observe(self) -> np.ndarray:
-        raw = (self.raw_features()
-               if self.observation in ("features", "both") else None)
-        return phase_order_observation(self.observation, raw,
-                                       self.histogram, self.feature_indices,
-                                       self.normalization)
+        return phase_order_observation(
+            self.observation, _current_features(self), self.histogram,
+            self.feature_indices, self.normalization)
 
     def _info(self, terminated: bool = False, failed: bool = False) -> Dict:
         return {
@@ -265,13 +301,6 @@ class PhaseOrderEnv:
             "terminated": terminated,
             "failed": failed,
         }
-
-    def raw_features(self) -> np.ndarray:
-        """Unnormalized features of the working module through the cached
-        front door — repeated observations of an unmutated module (and
-        any structurally unchanged function) skip the walk."""
-        assert self.module is not None
-        return features_for(self.module)
 
 
 class MultiActionEnv:
@@ -309,7 +338,9 @@ class MultiActionEnv:
         self.rng = np.random.default_rng(seed)
 
         self.indices = np.full(sequence_length, NUM_ACTIONS // 2, dtype=np.int64)
+        # as in PhaseOrderEnv: module without an engine, features with one
         self.module: Optional[Module] = None
+        self.features: Optional[np.ndarray] = None
         self.prev_cycles = 0
         self.initial_cycles = 0
         self.steps = 0
@@ -348,20 +379,13 @@ class MultiActionEnv:
         return self._observe()
 
     def _evaluate_indices(self, base: Module) -> int:
-        """Evaluate the current full index vector, leaving the optimized
-        module in ``self.module`` for feature observation."""
+        """Evaluate the current full index vector: one engine query, or —
+        without an engine — a fresh clone optimized and profiled, left in
+        ``self.module`` for feature observation."""
         self.evaluations += 1
         sequence = [int(i) for i in self.indices]
-        engine = self.toolchain.engine
-        if engine is not None:
-            try:
-                cycles, self.module = engine.evaluate_with_module(base, sequence)
-            except HLSCompilationError:
-                # Match the uncached path: the optimized module is in place
-                # (for the terminal observation) even when profiling fails.
-                self.module = engine.materialize(base, sequence)
-                raise
-            return int(cycles)
+        if self.toolchain.engine is not None:
+            return int(_engine_score(self, base, sequence))
         self.module = clone_module(base)
         self.toolchain.apply_passes(self.module, sequence)
         return self.toolchain.cycle_count(self.module)
@@ -388,11 +412,9 @@ class MultiActionEnv:
         return self._observe(), reward, done, self._info()
 
     def _observe(self) -> np.ndarray:
-        raw = (features_for(self.module)
-               if self.observation in ("features", "both") else None)
-        return multi_action_observation(self.observation, raw,
-                                        self.indices, self.feature_indices,
-                                        self.normalization)
+        return multi_action_observation(
+            self.observation, _current_features(self), self.indices,
+            self.feature_indices, self.normalization)
 
     def _info(self, failed: bool = False) -> Dict:
         return {

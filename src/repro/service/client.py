@@ -1,8 +1,9 @@
 """EvaluationClient — the programmatic face of the evaluation service.
 
 Duck-types the :class:`~repro.engine.EvaluationEngine` surface
-(``evaluate`` / ``evaluate_batch`` / ``evaluate_with_module`` /
-``evaluate_prepared`` / ``materialize`` / ``cache_info`` / ``clear``),
+(``evaluate`` / ``evaluate_batch`` / ``evaluate_with_features`` /
+``features_after`` / ``evaluate_with_module`` / ``materialize`` /
+``cache_info`` / ``clear``),
 so ``HLSToolchain(backend="service")`` can install it as
 ``toolchain.engine`` and every existing caller — the search baselines'
 ``SequenceEvaluator``, both RL environments, the experiment drivers —
@@ -30,11 +31,12 @@ path through the first three:
    prefix-trie locality stays within one worker's private engine.
    ``workers=0`` calls an in-process shard on the local engine instead
    of a queue; the reply takes the same road back.
-4. **Local engine** — module-returning paths (``materialize``,
-   ``evaluate_with_module``, the RL envs' ``evaluate_prepared``) run on
-   an in-process engine, because shipping mutated modules across
-   processes would cost more than the profile they skip; they still read
-   and feed the persistent map.
+4. **Local engine** — only modules come from an in-process engine:
+   ``materialize`` builds one there, because shipping modules across
+   processes would cost more than rebuilding them, and
+   ``evaluate_with_module`` is ``evaluate`` (the three layers above)
+   plus that ``materialize``. Feature misses (``features_after``) are
+   extracted there too. No module is ever handed *to* the client.
 
 Sample accounting stays exact across processes: every worker response
 reports the simulator invocations it actually consumed and the client
@@ -57,13 +59,11 @@ import numpy as np
 from .. import telemetry as tm
 from ..engine.core import EvaluationEngine, canonicalize_sequence
 from ..engine.memo import (
-    CRASHED,
     FAILED,
     FAILED_BUDGET,
     EvaluationCrash,
     failure_for,
     failure_row,
-    failure_value,
 )
 from ..hls.profiler import HLSCompilationError
 from ..ir.module import Module
@@ -509,15 +509,6 @@ class EvaluationClient:
             # the shared toolchain has already counted these samples
             self._handle_message(("result", request_id, results, 0))
 
-    def _persist(self, prog: _Program, key: StoreKey, value: Any) -> None:
-        """Record a local result (not a crash) in memory and on disk."""
-        with self._lock:
-            if value is CRASHED or key in prog.persisted:
-                return
-            prog.persisted[key] = value
-            prog.remember(key)
-        self.store.append(prog.fingerprint, self.toolchain_fp, key, value)
-
     # -- public API: async --------------------------------------------------
     def submit(self, program: Module, actions: Sequence[Action],
                objective: str = "cycles", area_weight: float = 0.05,
@@ -567,57 +558,20 @@ class EvaluationClient:
                                        canonical, want_features))
         return out
 
-    # -- module-returning paths (local engine, persistent-aware) ------------
-    def _persisted_local(self, program: Module, actions: Sequence[Action],
-                         objective: str, area_weight: float, entry: str,
-                         run, on_hit) -> Any:
-        """The module paths on the local engine: a persisted value
-        answers with ``on_hit(canonical, value)``; a persisted failure
-        re-raises sample-free without materializing (engine semantics);
-        a miss answers with ``run(canonical)`` → ``(value, ...)`` and
-        persists the value, or the failure it raised (a crash only the
-        local engine's memo keeps)."""
-        canonical = canonicalize_sequence(actions)
-        key = make_key(objective, area_weight, entry, canonical)
-        prog = self._ensure_program(program)
-        with self._lock:
-            cached = prog.persisted.get(key)
-            if cached is not None:
-                self.persistent_hits += 1
-        failure = failure_for(cached, canonical)
-        if failure is not None:
-            raise failure
-        if cached is not None:
-            return on_hit(canonical, cached)
-        try:
-            out = run(canonical)
-        except HLSCompilationError as exc:
-            self._persist(prog, key, failure_value(exc))
-            raise
-        self._persist(prog, key, out[0])
-        return out
-
+    # -- module-returning paths (local engine) --------------------------------
     def evaluate_with_module(self, program: Module, actions: Sequence[Action],
                              objective: str = "cycles", area_weight: float = 0.05,
                              entry: str = "main") -> Tuple[float, Module]:
-        return self._persisted_local(
-            program, actions, objective, area_weight, entry,
-            lambda canonical: self.local.evaluate_with_module(
-                program, canonical, objective=objective,
-                area_weight=area_weight, entry=entry),
-            lambda canonical, value: (
-                value, self.local.materialize(program, canonical)))
+        return (self.evaluate(program, actions, objective, area_weight, entry),
+                self.materialize(program, actions))
 
     def evaluate_prepared(self, program: Module, actions: Sequence[Action],
-                          module: Module, objective: str = "cycles",
-                          area_weight: float = 0.05, entry: str = "main",
+                          module: Optional[Module] = None,
+                          objective: str = "cycles", area_weight: float = 0.05,
+                          entry: str = "main",
                           changed: Optional[bool] = None) -> float:
-        return self._persisted_local(
-            program, actions, objective, area_weight, entry,
-            lambda canonical: (self.local.evaluate_prepared(
-                program, canonical, module, objective=objective,
-                area_weight=area_weight, entry=entry, changed=changed),),
-            lambda canonical, value: (value,))[0]
+        # only for benchmarks/e2e/tracing.py's name list; module/changed unused
+        return self.evaluate(program, actions, objective, area_weight, entry)
 
     def materialize(self, program: Module, actions: Sequence[Action]) -> Module:
         return self.local.materialize(program, actions)

@@ -134,24 +134,17 @@ class HLSToolchain:
 
     # -- pass application ---------------------------------------------------
     @staticmethod
-    def apply_passes(module: Module, actions: Sequence[Union[int, str]]) -> bool:
-        """Apply a pass sequence in place (indices or Table-1 names) and
-        return what the pass manager reported: ``True`` if any pass
-        changed the module. ``False`` means the module is exactly as it
-        was — hand it to ``engine.evaluate_prepared(..., changed=...)``
-        so a step that did nothing is not sampled again.
+    def apply_passes(module: Module, actions: Sequence[Union[int, str]]) -> None:
+        """Apply a pass sequence in place (indices or Table-1 names) — the
+        uncached reference's half of an evaluation.
 
         Read as the engine reads it (``canonicalize_sequence``): a
         ``-terminate`` action ends the sequence early, mirroring the RL
         environment's semantics.
         """
-        pm = PassManager()
-        changed = False
-        for element in canonicalize_sequence(actions):
-            name = (pass_name_for_index(element) if isinstance(element, int)
-                    else element)
-            changed |= pm.run(module, [name])
-        return changed
+        PassManager().run(module, [
+            pass_name_for_index(element) if isinstance(element, int)
+            else element for element in canonicalize_sequence(actions)])
 
     def o3_sequence(self) -> List[str]:
         return list(O3_PIPELINE)

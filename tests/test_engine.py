@@ -678,13 +678,9 @@ class TestEffectiveSequence:
                 assert np.array_equal(engine.features_after(program, seq), feats)
                 module = engine.materialize(program, seq)
                 assert exec_signature(module, "main") == signature, seq
-                prepared = clone_module(program)
-                changed = [HLSToolchain.apply_passes(prepared, [p]) for p in seq]
                 if want is None:
                     for call in (lambda: engine.evaluate(program, seq),
-                                 lambda: engine.evaluate_with_module(program, seq),
-                                 lambda: engine.evaluate_prepared(
-                                     program, seq, prepared)):
+                                 lambda: engine.evaluate_with_module(program, seq)):
                         with pytest.raises(HLSCompilationError):
                             call()
                     continue
@@ -695,9 +691,6 @@ class TestEffectiveSequence:
                 assert value == want
                 assert exec_signature(module, "main") == signature
                 _vandalize(module)
-                for verdict in (None, changed[-1] if changed else None):
-                    assert engine.evaluate_prepared(
-                        program, seq, prepared, changed=verdict) == want
         if backend.backend == "engine":  # the property the speed-up needs
             info = backend.cache_info()
             assert info["noop_skipped"] > 0 and info["effective_hits"] > 0
@@ -810,46 +803,6 @@ class TestEffectiveSequence:
             engine.evaluate(program, [a, c, a, "-boom"])
         assert _trie_shape(engine, program)[(a, c)] == ([], [a])
 
-    def test_assumed_edge_is_retracted_when_its_pass_does_nothing(self, benchmarks):
-        """``evaluate_prepared`` without a verdict can only assume that
-        the passes behind a finished module changed it. The first real
-        run that says otherwise drops the edge, its subtree and their
-        snapshots — and the results stay right throughout."""
-        toolchain = HLSToolchain(engine_config={"snapshot_min_visits": 1})
-        engine, program = toolchain.engine, benchmarks["gsm"]
-        reference = HLSToolchain(use_engine=False)
-        a, b = _changing(program, "-mem2reg", "-gvn", each_from_base=True)
-        x, = _noops(program, "-adce")
-        prepared = clone_module(program)
-        HLSToolchain.apply_passes(prepared, [x, a])
-        want = reference.cycle_count_with_passes(program, [a])
-        assert engine.evaluate_prepared(program, [x, a], prepared) == want
-        shape = _trie_shape(engine, program)
-        assert set(shape) == {(), (x,), (x, a)}
-        assert engine.cache_info()["snapshot_nodes"] == 1  # at (x, a)
-        # [x, b] has to leave the assumed state (x,): re-running x from
-        # the base program shows it never was a state of its own
-        assert engine.evaluate(program, [x, b]) == \
-            reference.cycle_count_with_passes(program, [b])
-        shape = _trie_shape(engine, program)
-        assert x in shape[()][1] and (x,) not in shape and (x, a) not in shape
-        info = engine.cache_info()
-        assert info["snapshot_nodes"] == 1 and info["trie_nodes"] == 1  # (b,)
-        assert engine.evaluate(program, [x, a]) == want  # the raw alias
-        samples = toolchain.samples_taken
-        assert engine.evaluate(program, [a, x]) == want  # but not this one:
-        assert toolchain.samples_taken == samples + 1  # the key was (x, a)
-        # with the verdict handed over, nothing is assumed in the first place
-        told = HLSToolchain()
-        module, steps = clone_module(program), [x, a, a]
-        for n, element in enumerate(steps, 1):
-            changed = HLSToolchain.apply_passes(module, [element])
-            told.engine.evaluate_prepared(program, steps[:n], module,
-                                          changed=changed)
-        assert _trie_shape(told.engine, program) == {(): ([a], [x]),
-                                                     (a,): ([], [a])}
-        assert told.samples_taken == 2  # the base program and (a,)
-
     def test_budget_and_eviction_mid_chain_stay_correct(self, benchmarks):
         reference = HLSToolchain(use_engine=False)
         program = benchmarks["qsort"]
@@ -872,11 +825,13 @@ class TestEffectiveSequence:
         assert tiny.cache_info()["trie_nodes"] <= 64
         assert churn.cache_info()["snapshot_evictions"] > 0
 
-    def test_module_path_and_sequence_path_take_the_same_samples(self, benchmarks):
-        """The sequential env's incremental module path
-        (``evaluate_prepared`` fed the pass manager's verdict), serial
-        ``evaluate`` and the grouped batch see the same queries and must
-        profile the same ones."""
+    def test_sequential_env_takes_the_samples_of_the_sequence_paths(
+            self, benchmarks):
+        """With an engine the sequential env asks for sequences: it takes
+        exactly the samples serial ``evaluate`` and the grouped batch take
+        for the same queries, and its reward/cycle stream is the one of
+        the env without an engine, which applies passes to its own
+        module."""
         from repro.rl.env import PhaseOrderEnv
 
         program = benchmarks["gsm"]
@@ -884,19 +839,28 @@ class TestEffectiveSequence:
         episodes = [[int(p) for p in rng.integers(0, NUM_TRANSFORMS, size=5)]
                     for _ in range(6)]
         episodes += episodes[:2]
-        module_path = HLSToolchain()
-        env = PhaseOrderEnv([program], toolchain=module_path, episode_length=5,
-                            use_terminate=False, seed=0)
+        envs = {engine: PhaseOrderEnv(
+                    [program], toolchain=HLSToolchain(use_engine=engine),
+                    episode_length=5, use_terminate=False, seed=0)
+                for engine in (True, False)}
         serial, batched = HLSToolchain(), HLSToolchain()
         for episode in episodes:
-            env.reset(0)
-            steps = [env.step(env.action_indices.index(action))[3]["cycles"]
-                     for action in episode]
+            streams = {}
+            for engine, env in envs.items():
+                env.reset(0)
+                streams[engine] = [
+                    (reward, info["cycles"]) for _, reward, _, info in (
+                        env.step(env.action_indices.index(action))
+                        for action in episode)]
+            assert streams[True] == streams[False]
+            steps = [cycles for _, cycles in streams[True]]
             prefixes = [episode[:n] for n in range(len(episode) + 1)]
             assert [serial.engine.evaluate(program, p) for p in prefixes][1:] == steps
             assert batched.engine.evaluate_batch(program, prefixes)[1:] == steps
-        assert module_path.samples_taken == serial.samples_taken \
+        with_engine = envs[True].toolchain
+        assert envs[True].module is None
+        assert with_engine.samples_taken == serial.samples_taken \
             == batched.samples_taken < sum(len(e) for e in episodes)
         for toolchain in (serial, batched):
             assert toolchain.cache_info()["memo_misses"] == \
-                module_path.cache_info()["memo_misses"]
+                with_engine.cache_info()["memo_misses"]

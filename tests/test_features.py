@@ -208,10 +208,14 @@ class TestFrontDoor:
         assert (after == extract_features(m)).all()
 
     def test_env_observation_routes_through_front_door(self, benchmarks):
+        """The env that holds a module — the one without an engine;
+        with an engine it keeps the engine's vector and walks nothing."""
         from repro.features import shared_extractor
         from repro.rl.env import PhaseOrderEnv
+        from repro.toolchain import HLSToolchain
 
         env = PhaseOrderEnv([benchmarks["gsm"]], observation="features",
+                            toolchain=HLSToolchain(use_engine=False),
                             episode_length=3, seed=0)
         env.reset(0)
         hits_before = shared_extractor().cache_info()["feature_module_hits"]

@@ -76,6 +76,56 @@ class TestVerifier:
         m, f, bb = _simple()
         assert verify_module(m) == []
 
+    def _diamond(self, use_in_merge: bool):
+        """entry branches to ``left`` (defines %x) and ``right``; both
+        join in ``merge``, which reads %x through a phi or directly."""
+        m = Module("t")
+        f = m.add_function(Function("f", ty.function_type(ty.i32, [ty.i32])))
+        entry, left, right, merge = (f.add_block(n) for n in
+                                     ("entry", "left", "right", "merge"))
+        b = IRBuilder(entry)
+        b.cbr(b.icmp("slt", f.args[0], b.const(0)), left, right)
+        b.position_at_end(left)
+        x = b.add(f.args[0], b.const(1), "x")
+        b.br(merge)
+        b.position_at_end(right)
+        b.br(merge)
+        b.position_at_end(merge)
+        if use_in_merge:
+            b.ret(b.add(x, b.const(2), "y"))
+        else:
+            phi = b.phi(ty.i32, "p")
+            phi.add_incoming(x, left)
+            phi.add_incoming(b.const(0), right)
+            b.ret(phi)
+        return f
+
+    def test_use_must_be_dominated_by_its_definition(self):
+        assert verify_function(self._diamond(use_in_merge=False)) == []
+        with pytest.raises(VerificationError, match="not dominated"):
+            verify_function(self._diamond(use_in_merge=True))
+
+    def test_use_before_definition_in_one_block(self):
+        m, f, bb = _simple()
+        x = bb.instructions[0]
+        IRBuilder(bb).add(x, IRBuilder.const(1), "early").insert_before(x)
+        assert verify_function(f, collect=True) == [
+            "entry:early: use of %x is not dominated by its definition"]
+
+    def test_pass_bug_breaking_dominance_is_reported(self):
+        """A pass sequence that leaves a self-referencing ``%cs.next`` in
+        qsort's loop body after the phi that fed it is gone: structurally
+        clean, so only the dominance check sees it."""
+        from repro.programs import chstone
+        from repro.toolchain import HLSToolchain
+
+        m = chstone.build("qsort")
+        HLSToolchain.apply_passes(m, [9, 11, 23, 11, 36, 8, 9, 38, 42, 31,
+                                      13, 23])
+        errors = verify_module(m, collect=True)
+        assert errors and all("is not dominated" in e for e in errors)
+        assert sum("use of %cs.next " in e for e in errors) == 3
+
 
 class TestPrinter:
     def test_function_rendering(self):

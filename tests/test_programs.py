@@ -133,6 +133,31 @@ class TestRandomGenerator:
         varying = (feats.std(axis=0) > 0).sum()
         assert varying > 20  # more than 20 of 56 features vary
 
+    # The smoke-scale corpora the paper benches and experiment drivers
+    # train and test on: benchmarks/conftest.py's corpus fixture (4, 0),
+    # the fig5_fig6 / fig8 / fig9 / generalization training corpus
+    # (n_train_programs=6, seed 0) and the fig9 / generalization test
+    # corpus (n_test_programs=8, seed 0 + 10_000). A change to the
+    # generator, its filter or the IR that moves a program shows here.
+    # Digests are program_fingerprint's first 16 hex digits.
+    PINNED_CORPORA = {
+        (4, 0): ["7048b7ef6620444c", "3515d58adb56bfcc", "4b122fdfe051efcf",
+                 "e709a3614e06332d"],
+        (6, 0): ["7048b7ef6620444c", "3515d58adb56bfcc", "4b122fdfe051efcf",
+                 "e709a3614e06332d", "3f6e4af5af34dfd0", "9dd3d2548c48abb5"],
+        (8, 10_000): ["64f94012c02f59cb", "a2039acea369db42", "81581b03e2fc2be5",
+                      "3a1edd08339c5a09", "b128689a79613c31", "78235794ba5b7236",
+                      "f90033093561e869", "c259d39c0c506a4d"],
+    }
+
+    @pytest.mark.parametrize("size,seed", sorted(PINNED_CORPORA))
+    def test_smoke_corpora_are_pinned(self, size, seed):
+        from repro.service.fingerprint import program_fingerprint
+
+        corpus = generate_corpus(size, seed=seed)
+        assert [program_fingerprint(m)[:16] for m in corpus] == \
+            self.PINNED_CORPORA[size, seed]
+
     def test_config_respected(self):
         cfg = GeneratorConfig(max_stmts=4, max_depth=1, n_helpers=1, n_globals=1)
         small = RandomProgramGenerator(5, cfg).generate()

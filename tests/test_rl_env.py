@@ -177,3 +177,58 @@ class TestMultiActionEnv:
         assert not done
         _, _, done, _ = env.step(np.full(4, 1))
         assert done
+
+
+class TestSequenceQueries:
+    """With an engine both sequential envs hold no module and ask for
+    sequences, as the vectorized lanes do; without one they step the
+    uncached clone-and-apply loop. The two must be indistinguishable."""
+
+    def test_crashing_pass_fails_the_step_as_in_a_lane(self, benchmarks,
+                                                       monkeypatch):
+        from repro.passes.base import PASS_CONSTRUCTORS, Pass
+        from repro.passes.registry import PASS_TABLE
+        from repro.rl.vec_env import VectorEnv
+
+        class Crash(Pass):
+            name = PASS_TABLE[3]
+
+            def run(self, module):
+                raise RuntimeError("pass bug")
+
+        monkeypatch.setitem(PASS_CONSTRUCTORS, PASS_TABLE[3], Crash)
+        actions = [pass_index_for_name("-mem2reg"),
+                   pass_index_for_name("-instcombine"), 3]
+
+        def template():
+            return PhaseOrderEnv([benchmarks["gsm"]], toolchain=HLSToolchain(),
+                                 observation="both", episode_length=8, seed=0)
+
+        env, lane = template(), VectorEnv(template(), lanes=1)
+        assert np.array_equal(env.reset(0), lane.reset_lane(0, 0))
+        for action in actions:
+            obs, *rest = env.step(action)
+            lane_obs, *lane_rest = lane.step_lanes([0], [action])[0]
+            assert np.array_equal(obs, lane_obs) and rest == lane_rest
+        _, done, info = rest
+        assert done and info["failed"] and env.module is None
+        # the crashed state has no module: the observation keeps the
+        # features of the last good one
+        assert np.array_equal(env.features, env.toolchain.features_after(
+            benchmarks["gsm"], actions[:-1]))
+
+    def test_multi_action_env_matches_the_uncached_loop(self, benchmarks):
+        rng = np.random.default_rng(5)
+        actions = rng.integers(0, MultiActionEnv.SUB_ACTIONS, size=(4, 6))
+        runs = {}
+        for engine in (True, False):
+            env = MultiActionEnv([benchmarks["gsm"]],
+                                 toolchain=HLSToolchain(use_engine=engine),
+                                 sequence_length=6, episode_length=4,
+                                 observation="both", seed=0)
+            runs[engine] = [env.reset(0)] + [env.step(a) for a in actions]
+            assert (env.module is None) == engine
+        first, *steps = runs[True]
+        assert np.array_equal(first, runs[False][0])
+        for (obs, *rest), (ref_obs, *ref_rest) in zip(steps, runs[False][1:]):
+            assert np.array_equal(obs, ref_obs) and rest == ref_rest

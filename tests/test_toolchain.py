@@ -74,8 +74,8 @@ class TestToolchain:
         reference = HLSToolchain(use_engine=False)
         by_numpy = clone_module(benchmarks["gsm"])
         by_int = clone_module(benchmarks["gsm"])
-        assert reference.apply_passes(by_numpy, [np.int64(3)]) == \
-            reference.apply_passes(by_int, [3])
+        reference.apply_passes(by_numpy, [np.int64(3)])
+        reference.apply_passes(by_int, [3])
         assert module_to_str(by_numpy) == module_to_str(by_int)
         sequence = np.random.default_rng(7).integers(0, NUM_TRANSFORMS,
                                                      size=12)
