@@ -201,9 +201,6 @@ class LoopInfo:
         """The innermost loop containing ``bb``, if any."""
         return self._loop_of.get(bb)
 
-    def top_level(self) -> List[Loop]:
-        return [l for l in self.loops if l.parent is None]
-
     def in_loop(self, bb: BasicBlock) -> bool:
         return bb in self._loop_of
 

@@ -2,9 +2,10 @@
 
 Wraps an :class:`~repro.toolchain.HLSToolchain` with four cache layers
 (result memo, feature memo, no-op-aware prefix-trie snapshots, and —
-inside the profiler — incremental scheduling) plus a batch API that
-profiles a population's misses as one wave. See the package docstring
-for the cache-key/invalidation contract.
+inside the profiler — incremental scheduling). Every cache miss is
+profiled as a wave: a population's misses form one, a single
+evaluation is a wave of one. See the package docstring for the
+cache-key/invalidation contract.
 """
 
 from __future__ import annotations
@@ -68,14 +69,14 @@ def canonicalize_sequence(actions: Sequence[Action]) -> Tuple[Element, ...]:
 
 
 class _PendingProfile:
-    """One lane of a grouped wave: the module to profile, every memo key
-    its value answers and the batch rows waiting for it."""
+    """One lane of a wave: the module to profile, every memo key its
+    value answers and the batch rows waiting for it."""
 
     __slots__ = ("module", "keys", "rows")
 
-    def __init__(self, module: Module) -> None:
+    def __init__(self, module: Module, keys: Sequence[Tuple] = ()) -> None:
         self.module = module
-        self.keys: List[Tuple] = []
+        self.keys: List[Tuple] = list(keys)
         self.rows: List[Tuple] = []
 
 
@@ -188,7 +189,7 @@ class EvaluationEngine:
 
         Returns ``(value, feats, module, keys)``. ``value is None`` means
         the caller must profile ``module`` and memoize under every key in
-        ``keys``; with ``wave`` (the grouped batch path: effective key →
+        ``keys``; with ``wave`` (the batch path: effective key →
         pending profile) it may be a sibling's pending profile instead.
         Raises the :class:`HLSCompilationError` a memoized failure stands
         for, or the :class:`EvaluationCrash` a crashing pass became."""
@@ -279,20 +280,28 @@ class EvaluationEngine:
                 self._count_lookup(value is not None, effective_hit)
         return value, feats, module
 
-    def _profile(self, module: Module, keys: Sequence[Tuple], objective: str,
-                 area_weight: float, entry: str) -> float:
-        """One simulator sample; value or failure memoized under ``keys``."""
-        try:
-            with tm.span("engine.profile", objective=objective):
-                value = self.toolchain.objective_value(module, objective,
-                                                       area_weight=area_weight,
-                                                       entry=entry)
-        except Exception as exc:
-            raise self._memoize_failure(keys, exc, keys[0][1])
-        with self._lock:
-            for key in keys:
-                self._memo.put(key, value)
-        return value
+    def _profile_wave(self, lanes: List[_PendingProfile], objective: str,
+                      area_weight: float, entry: str) -> List[object]:
+        """Profile ``lanes`` as ONE ``objective_values_batch`` wave — a
+        single evaluation is a wave of one — and memoize each lane's
+        value, or its typed failure, under every key the lane answers.
+        Returns that value or failure per lane; only a kernel
+        :class:`VerificationError` escapes."""
+        with tm.span("engine.profile_batch", objective=objective,
+                     size=len(lanes)):
+            values = self.toolchain.objective_values_batch(
+                [lane.module for lane in lanes], objective,
+                area_weight=area_weight, entry=entry)
+        out: List[object] = []
+        for lane, value in zip(lanes, values):
+            if isinstance(value, BaseException):
+                value = self._memoize_failure(lane.keys, value, lane.keys[0][1])
+            else:
+                with self._lock:
+                    for key in lane.keys:
+                        self._memo.put(key, value)
+            out.append(value)
+        return out
 
     # -- single evaluation --------------------------------------------------
     def evaluate(self, program: Module, actions: Sequence[Action],
@@ -324,7 +333,10 @@ class EvaluationEngine:
             program, canonicalize_sequence(actions),
             (objective, area_weight, entry), want_features, want_module)
         if value is None:
-            value = self._profile(module, keys, objective, area_weight, entry)
+            value, = self._profile_wave([_PendingProfile(module, keys)],
+                                        objective, area_weight, entry)
+            if isinstance(value, BaseException):
+                raise value
         return value, module, feats
 
     def evaluate_prepared(self, program: Module, actions: Sequence[Action],
@@ -382,99 +394,44 @@ class EvaluationEngine:
         Failing rows come back as ``(None, features)``, or ``(None,
         None)`` when the module itself could not be built.
 
-        The cycle objectives take the grouped path: lookups and
-        materialization run per sequence, in order, exactly as
-        :meth:`evaluate` would, and every module that still needs the
-        simulator is profiled in ONE ``objective_values_batch`` wave —
-        same values, same samples as the serial loop. An objective
-        without a batched form (``area``) runs that serial loop."""
+        Lookups and materialization run per sequence, in order, exactly
+        as :meth:`evaluate` would (same statistics, same failure
+        memoization); every module that still needs the simulator is then
+        profiled in ONE wave (:meth:`_profile_wave`) — same values, same
+        samples as a loop of :meth:`evaluate` calls. Siblings that resolve
+        to one effective sequence share one lane: whichever comes first
+        carries the module, the rest wait for its value, as they would
+        have hit its memo entry in a loop."""
         self.stats.batches += 1
         tm.observe("engine.batch_size", len(sequences))
         keyed = [canonicalize_sequence(seq) for seq in sequences]
-        unique: Dict[Tuple[Element, ...], Optional[float]] = {}
-        for canonical in keyed:
-            unique.setdefault(canonical, None)
-
-        def run_one(canonical: Tuple[Element, ...]):
-            try:
-                if want_features:
-                    return self.evaluate_with_features(
-                        program, canonical, objective=objective,
-                        area_weight=area_weight, entry=entry)
-                return self.evaluate(program, canonical, objective=objective,
-                                     area_weight=area_weight, entry=entry)
-            except HLSCompilationError:
-                return failure_row(self.features_after, program, canonical,
-                                   want_features)
-
-        pending = list(unique)
-        with tm.span("engine.evaluate_batch", size=len(pending)):
-            if len(pending) > 1 and self._use_grouped(objective):
-                self._evaluate_batch_grouped(program, pending, unique,
-                                             objective, area_weight, entry,
-                                             want_features)
-            else:
-                for canonical in pending:
-                    unique[canonical] = run_one(canonical)
-        return [unique[canonical] for canonical in keyed]
-
-    def _use_grouped(self, objective: str) -> bool:
-        """Whether cache misses of a batch are profiled as one wave
-        (the objective has a batched form; ``profile_batch`` decides how
-        to run it) instead of one by one."""
-        return (objective in ("cycles", "cycles-area")
-                and hasattr(self.toolchain, "objective_values_batch"))
-
-    def _evaluate_batch_grouped(
-        self, program: Module, pending: List[Tuple[Element, ...]],
-        unique: Dict, objective: str, area_weight: float, entry: str,
-        want_features: bool,
-    ) -> None:
-        """The grouped miss path: memo/feature lookups and materialization
-        run per sequence with semantics identical to :meth:`_evaluate`
-        (same statistics, same failure memoization), then every module
-        that actually needs the simulator is profiled as ONE
-        ``objective_values_batch`` wave, which schedules each structural
-        hash once and executes each distinct execution signature once.
-        Siblings that resolve to one effective sequence share one lane —
-        whichever comes first carries the module, the rest wait for its
-        value, as they would have hit its memo entry in a serial loop."""
+        rows: Dict[Tuple[Element, ...], object] = dict.fromkeys(keyed)
         tail = (objective, area_weight, entry)
         wave: Dict[Tuple, _PendingProfile] = {}  # effective key -> lane
-        for canonical in pending:
-            try:
-                value, feats, module, keys = self._prepare(
-                    program, canonical, tail, want_features, wave=wave)
-            except HLSCompilationError:
-                unique[canonical] = failure_row(
-                    self.features_after, program, canonical, want_features)
-                continue
-            if value is None:
-                value = wave[keys[-1]] = _PendingProfile(module)
-            if isinstance(value, _PendingProfile):
-                value.keys.extend(k for k in keys if k not in value.keys)
-                value.rows.append((canonical, feats))
-            else:
-                unique[canonical] = (value, feats) if want_features else value
-
-        if not wave:
-            return
-        lanes = list(wave.values())
-        with tm.span("engine.profile_batch", objective=objective,
-                     size=len(lanes)):
-            values = self.toolchain.objective_values_batch(
-                [lane.module for lane in lanes], objective,
-                area_weight=area_weight, entry=entry)
-        for lane, value in zip(lanes, values):
-            if isinstance(value, BaseException):
-                self._memoize_failure(lane.keys, value, lane.rows[0][0])
-                value = None
-            else:
-                with self._lock:
-                    for key in lane.keys:
-                        self._memo.put(key, value)
-            for canonical, feats in lane.rows:
-                unique[canonical] = (value, feats) if want_features else value
+        with tm.span("engine.evaluate_batch", size=len(rows)):
+            for canonical in rows:
+                try:
+                    value, feats, module, keys = self._prepare(
+                        program, canonical, tail, want_features, wave=wave)
+                except HLSCompilationError:
+                    rows[canonical] = failure_row(
+                        self.features_after, program, canonical, want_features)
+                    continue
+                if value is None:
+                    value = wave[keys[-1]] = _PendingProfile(module)
+                if isinstance(value, _PendingProfile):
+                    value.keys.extend(k for k in keys if k not in value.keys)
+                    value.rows.append((canonical, feats))
+                else:
+                    rows[canonical] = (value, feats) if want_features else value
+            lanes = list(wave.values())
+            values = self._profile_wave(lanes, *tail) if lanes else []
+            for lane, value in zip(lanes, values):
+                if isinstance(value, BaseException):
+                    value = None
+                for canonical, feats in lane.rows:
+                    rows[canonical] = (value, feats) if want_features else value
+        return [rows[canonical] for canonical in keyed]
 
     def memoized_failure(self, program: Module, actions: Sequence[Action],
                          objective: str = "cycles", area_weight: float = 0.05,

@@ -59,15 +59,6 @@ class Fig56Result:
         return paths
 
     # -- the paper's qualitative checks -------------------------------------
-    def loop_rotate_prev_importance_rank(self) -> int:
-        """Rank (0 = highest) of -loop-rotate among previous-pass columns
-        aggregated over all next-pass rows; the paper finds it the most
-        impactful prior pass (the (23,23) observation)."""
-        rotate = pass_index_for_name("-loop-rotate")
-        totals = self.analysis.pass_importance.sum(axis=0)
-        order = np.argsort(-totals)
-        return int(np.where(order == rotate)[0][0])
-
     def improvement_rate_rank(self, pass_name: str) -> int:
         """Rank (0 = highest) of a pass by empirical improvement rate —
         the data §4.2's 'more impactful passes' list is read off from."""

@@ -11,6 +11,11 @@ The interpreter supplies the visit counts; the scheduler supplies the
 states. ``llvm.memset``/``llvm.memcpy`` transfer a dynamic number of
 elements, so their per-element burst cost is added from the trace.
 
+There is one profile path: :meth:`CycleProfiler.profile_batch` schedules,
+executes and combines a wave of modules, each lane inside its own error
+envelope (:func:`lane_outcome`); :meth:`CycleProfiler.profile` is a wave
+of one. ``sim_kernels`` picks the executor for the whole wave.
+
 Two memoization layers make repeated profiling cheap:
 
 * **Incremental scheduling** — per-function FSM state counts are cached
@@ -35,13 +40,7 @@ from typing import Dict, List, Optional, Tuple
 from .. import telemetry as tm
 from ..interp.batch_exec import BatchedKernelExecutor
 from ..interp.interpreter import ExecutionResult, Interpreter
-from ..interp.kernels import (
-    KernelInterpreter,
-    VerificationError,
-    check_outcomes,
-    run_outcome,
-    run_verified,
-)
+from ..interp.kernels import VerificationError, check_outcomes, run_outcome
 from ..interp.state import InterpreterLimitExceeded, StepBudgetExceeded, TrapError
 from ..ir.instructions import CallInst
 from ..ir.module import BasicBlock, Module
@@ -51,7 +50,7 @@ from .sched_vec import function_state_counts_flat
 from .scheduler import Scheduler
 
 __all__ = ["CycleReport", "HLSCompilationError", "StepBudgetError",
-           "CycleProfiler", "sim_kernels_mode"]
+           "CycleProfiler", "lane_outcome", "sim_kernels_mode"]
 
 # Burst engines move one slot per cycle after setup (see delays.py).
 _DYNAMIC_BURST = ("llvm.memset", "llvm.memcpy")
@@ -71,13 +70,26 @@ def sim_kernels_mode(override: Optional[str] = None) -> str:
     """Resolve the one simulation knob: ``off`` (reference interpreter +
     scheduler), ``on`` (compiled kernels + batched scheduler, waves
     deduplicated by execution signature; the default), or ``verify``
-    (``on``, with every result — serial or batched — cross-checked
-    against the reference; hard-fail on any divergence)."""
+    (``on``, with every lane of every wave cross-checked against the
+    reference; hard-fail on any divergence)."""
     mode = override if override is not None else os.environ.get("REPRO_SIM_KERNELS", "on")
     mode = mode.strip().lower()
     if mode not in ("off", "on", "verify"):
         raise ValueError(f"REPRO_SIM_KERNELS must be off|on|verify, got {mode!r}")
     return mode
+
+
+def lane_outcome(fn, *args) -> object:
+    """``fn(*args)``, or the exception it raised, returned — the per-lane
+    envelope of a wave, so one failing lane never poisons its siblings.
+    Only a :class:`VerificationError` (a simulator bug, not a failing
+    program) gets out."""
+    try:
+        return fn(*args)
+    except VerificationError:
+        raise
+    except Exception as exc:
+        return exc
 
 
 @dataclass
@@ -120,92 +132,86 @@ class CycleProfiler:
         self._lock = threading.Lock()
 
     def profile(self, module: Module, entry: str = "main") -> CycleReport:
-        tm.count("profile.runs")
+        """Profile one module — a wave of one; raises the lane's failure."""
+        report, = self.profile_batch([module], entry)
+        if isinstance(report, BaseException):
+            raise report
+        return report
+
+    def profile_batch(self, modules: List[Module],
+                      entry: str = "main") -> List[object]:
+        """Profile a wave of modules — the one profile path. Returns one
+        entry per module: a :class:`CycleReport`, or the exception that
+        lane failed with (:class:`StepBudgetError` /
+        :class:`HLSCompilationError` for legitimate failures, the raw
+        exception for a crash anywhere from scheduling to combining) — a
+        failing lane never poisons siblings.
+
+        Every lane is scheduled first (one schedule-cache lookup per
+        defined function, so a wave reschedules a structural hash at most
+        once); the lanes that scheduled then execute by ``sim_kernels``:
+        ``off`` runs the reference interpreter lane by lane; ``on`` runs
+        one :meth:`BatchedKernelExecutor.run_batch`, executing each
+        distinct execution signature once; ``verify`` does the same, then
+        checks every lane — deduplicated ones included — against a
+        reference run of its own module, raising
+        :class:`VerificationError` on divergence and anchoring results to
+        the reference."""
+        tm.count("profile.runs", len(modules))
+        scheduled = [lane_outcome(self._schedule_lane, module)
+                     for module in modules]
+        results = list(scheduled)  # a lane that failed scheduling keeps its error
+        lanes = [i for i, lane in enumerate(scheduled)
+                 if not isinstance(lane, BaseException)]
+        if lanes:
+            with tm.span("profile.execute", backend=self.sim_kernels,
+                         lanes=len(lanes)):
+                outcomes = self._run_lanes(
+                    [(modules[i], scheduled[i][0]) for i in lanes], entry)
+            for i, outcome in zip(lanes, outcomes):
+                results[i] = lane_outcome(self._finish_lane, modules[i],
+                                          *scheduled[i], outcome, entry)
+        return results
+
+    def _schedule_lane(self, module: Module
+                       ) -> Tuple[Dict, Dict[BasicBlock, int]]:
+        """``(structural keys, FSM states per block)`` of one lane."""
         # One structural-hash pass feeds every key-addressed cache on the
         # cold path: FSM schedules, compiled kernels, and block plans.
         keys = self._structural_keys(module)
         try:
             with tm.span("profile.schedule"):
-                block_states = self._module_block_states(module, keys)
+                return keys, self._module_block_states(module, keys)
         except VerificationError:
             raise  # a kernel bug, not an HLS failure — fail loudly
         except Exception as exc:  # scheduling failure = HLS failure
             raise HLSCompilationError(f"scheduling failed: {exc}") from exc
-        try:
-            with tm.span("profile.execute", backend=self.sim_kernels):
-                execution = self._execute(module, entry, keys)
-        except (StepBudgetExceeded, TrapError, InterpreterLimitExceeded) as exc:
-            raise self._map_exec_error(exc)
-        return self._combine(module, block_states, execution)
 
-    def profile_batch(self, modules: List[Module],
-                      entry: str = "main") -> List[object]:
-        """Profile a wave of modules. Returns one entry per module: a
-        :class:`CycleReport`, or the exception that lane failed with
-        (:class:`StepBudgetError` / :class:`HLSCompilationError` for
-        legitimate failures, the raw exception for crashes) — a failing
-        lane never poisons siblings.
+    def _run_lanes(self, items: List[Tuple[Module, Dict]],
+                   entry: str) -> List[object]:
+        """One execution outcome per ``(module, keys)`` lane: a result or
+        the exception the run raised."""
+        if self.sim_kernels == "off":
+            return [run_outcome(Interpreter, module, entry,
+                                max_steps=self.max_steps, plan_keys=keys)
+                    for module, keys in items]
+        return BatchedKernelExecutor(max_steps=self.max_steps).run_batch(
+            items, entry)
 
-        Follows ``sim_kernels`` like :meth:`profile`: ``off`` (or a
-        single-module wave) is serial :meth:`profile` calls; ``on``
-        schedules each structural hash once and executes each distinct
-        execution signature once; ``verify`` does the same, then checks
-        every lane — deduplicated ones included — against a reference
-        run of its own module, raising :class:`VerificationError` on
-        divergence and anchoring results to the reference."""
-        mode = self.sim_kernels
-        if mode == "off" or len(modules) <= 1:
-            return [self._profile_lane(module, entry) for module in modules]
-        tm.count("profile.runs", len(modules))
-        keyed = [self._structural_keys(module) for module in modules]
-        self._schedule_prepass(keyed)
-        results: List[object] = [None] * len(modules)
-        block_states: List[Optional[Dict]] = [None] * len(modules)
-        exec_lanes: List[int] = []
-        for i, (module, keys) in enumerate(zip(modules, keyed)):
-            try:
-                with tm.span("profile.schedule"):
-                    block_states[i] = self._module_block_states(module, keys)
-                exec_lanes.append(i)
-            except VerificationError:
-                raise
-            except Exception as exc:
-                err = HLSCompilationError(f"scheduling failed: {exc}")
-                err.__cause__ = exc
-                results[i] = err
-        if exec_lanes:
-            executor = BatchedKernelExecutor(max_steps=self.max_steps)
-            with tm.span("profile.execute_batch", backend=mode,
-                         lanes=len(exec_lanes)):
-                outcomes = executor.run_batch(
-                    [(modules[i], keyed[i]) for i in exec_lanes], entry)
-            for i, outcome in zip(exec_lanes, outcomes):
-                if mode == "verify":
-                    outcome = self._verified_lane(
-                        modules[i], keyed[i], block_states[i], outcome, entry)
-                if isinstance(outcome, ExecutionResult):
-                    results[i] = self._combine(modules[i], block_states[i],
-                                               outcome)
-                else:
-                    results[i] = self._map_exec_error(outcome)
-        return results
-
-    def _profile_lane(self, module: Module, entry: str) -> object:
-        """Serial lane: same per-lane error envelope as the batched
-        path (verification bugs still propagate loudly)."""
-        try:
-            return self.profile(module, entry)
-        except VerificationError:
-            raise
-        except Exception as exc:
-            return exc
+    def _finish_lane(self, module: Module, keys: Dict,
+                     block_states: Dict[BasicBlock, int], outcome: object,
+                     entry: str) -> object:
+        if self.sim_kernels == "verify":
+            outcome = self._verified_lane(module, keys, block_states,
+                                          outcome, entry)
+        if isinstance(outcome, BaseException):
+            return self._map_exec_error(outcome)
+        return self._combine(module, block_states, outcome)
 
     @staticmethod
     def _map_exec_error(exc: BaseException) -> BaseException:
-        """The HLS-failure envelope of an execution error, shared by
-        :meth:`profile` (which raises it) and :meth:`profile_batch`
-        (which returns it per lane); crashes and verification failures
-        pass through unchanged."""
+        """The HLS-failure envelope of an execution error; crashes pass
+        through unchanged."""
         if isinstance(exc, StepBudgetExceeded):
             err: HLSCompilationError = StepBudgetError(f"execution failed: {exc}")
         elif isinstance(exc, (TrapError, InterpreterLimitExceeded)):
@@ -218,10 +224,10 @@ class CycleProfiler:
     def _verified_lane(self, module: Module, keys: Dict,
                        block_states: Dict[BasicBlock, int], outcome: object,
                        entry: str) -> object:
-        """Check one batched lane's outcome against a reference run of
-        its own module — after the dedup fan-out, so a wrong remap is a
-        divergence too — and return the reference outcome (the anchor)."""
-        what = f"sim-kernel divergence on batched @{entry} of {module.name}"
+        """Check one lane's outcome against a reference run of its own
+        module — after the dedup fan-out, so a wrong remap is a divergence
+        too — and return the reference outcome (the anchor)."""
+        what = f"sim-kernel divergence on @{entry} of {module.name}"
         reference = run_outcome(Interpreter, module, entry,
                                 max_steps=self.max_steps, plan_keys=keys)
         check_outcomes(what, outcome, reference)
@@ -234,17 +240,6 @@ class CycleProfiler:
             if fast.visits_by_block != anchor.visits_by_block:
                 raise VerificationError(f"{what}: visits_by_block")
         return reference
-
-    def _execute(self, module: Module, entry: str, keys: Dict) -> ExecutionResult:
-        mode = self.sim_kernels
-        if mode == "on":
-            return KernelInterpreter(module, max_steps=self.max_steps,
-                                     keys=keys).run(entry)
-        if mode == "verify":
-            return run_verified(module, entry, max_steps=self.max_steps,
-                                keys=keys, plan_keys=keys)
-        return Interpreter(module, max_steps=self.max_steps,
-                           plan_keys=keys).run(entry)
 
     # -- incremental scheduling ---------------------------------------------
     def _structural_keys(self, module: Module) -> Dict:
@@ -266,39 +261,6 @@ class CycleProfiler:
                     f"batched-scheduler divergence on @{func.name}: "
                     f"{flat} != {counts}")
         return counts
-
-    def _schedule_prepass(self, keyed: List[Dict]) -> None:
-        """Schedule each structural hash appearing in a batch wave exactly
-        once (hls/sched_vec groups same-hash work): N lanes sharing a
-        function body cost one reschedule before the per-lane pass runs,
-        so the wave never reschedules a hash twice."""
-        if self._schedule_cache_size <= 0:
-            return
-        unique: "OrderedDict[Tuple, object]" = OrderedDict()
-        for keys in keyed:
-            for func, key in keys.items():
-                unique.setdefault(key, func)
-        with self._lock:
-            missing = [(key, func) for key, func in unique.items()
-                       if key not in self._schedule_cache]
-        if not missing:
-            return
-        with tm.span("profile.schedule_batch", functions=len(missing)):
-            for key, func in missing:
-                try:
-                    with tm.span("profile.reschedule"):
-                        counts = self._schedule_function(func)
-                except VerificationError:
-                    raise
-                except Exception:
-                    # Leave the hash uncached; the owning lane's serial
-                    # scheduling pass re-raises and fails only that lane.
-                    continue
-                with self._lock:
-                    self.schedule_cache_misses += 1
-                    self._schedule_cache[key] = counts
-                    while len(self._schedule_cache) > self._schedule_cache_size:
-                        self._schedule_cache.popitem(last=False)
 
     def _module_block_states(self, module: Module, keys: Dict) -> Dict[BasicBlock, int]:
         """FSM state count per block, rescheduling only functions whose

@@ -60,9 +60,6 @@ class BlockSchedule:
     ops: Dict[Instruction, ScheduledOp]
     num_states: int
 
-    def state_of(self, inst: Instruction) -> ScheduledOp:
-        return self.ops[inst]
-
     def ops_in_state(self, state: int) -> List[ScheduledOp]:
         return [op for op in self.ops.values() if op.start_state == state]
 
@@ -83,13 +80,6 @@ class FunctionSchedule:
 class ModuleSchedule:
     module: Module
     functions: Dict[Function, FunctionSchedule]
-
-    def for_function(self, func: Function) -> FunctionSchedule:
-        return self.functions[func]
-
-    def states_of_block(self, bb: BasicBlock) -> int:
-        assert bb.parent is not None
-        return self.functions[bb.parent].num_states(bb)
 
 
 class Scheduler:

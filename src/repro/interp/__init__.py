@@ -25,7 +25,6 @@ from .kernels import (
     VerificationError,
     clear_kernel_cache,
     kernel_cache_info,
-    run_verified,
 )
 from .batch_exec import (
     BatchedKernelExecutor,
@@ -39,7 +38,7 @@ __all__ = [
     "EXTERNAL_ATTRIBUTES", "call_external", "is_known_external",
     "ExecutionResult", "Interpreter", "run_module",
     "plan_cache_info", "clear_plan_cache",
-    "KernelInterpreter", "VerificationError", "run_verified",
+    "KernelInterpreter", "VerificationError",
     "kernel_cache_info", "clear_kernel_cache",
     "BatchedKernelExecutor", "batch_exec_info", "clear_batch_exec_stats",
 ]

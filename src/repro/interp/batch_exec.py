@@ -13,8 +13,9 @@ distinct cache key but an identical execution.
 
 Each distinct signature is one ordinary :class:`KernelInterpreter` run,
 so a batch of one *is* the single-program case: same step budget, same
-raise point, same error. A failing lane's outcome is its exception; it
-never poisons siblings.
+raise point, same error — and, with nothing to dedup against, no
+signature is computed for it. A failing lane's outcome is its exception;
+it never poisons siblings.
 """
 
 from __future__ import annotations
@@ -170,11 +171,12 @@ class BatchedKernelExecutor:
         outcomes: List[Optional[LaneOutcome]] = [None] * n
         with tm.span("batch_exec.run", lanes=n):
             # group execution-equivalent lanes; the first lane of each
-            # group is its representative
-            groups: "Dict[Tuple, List[int]]" = {}
+            # group is its representative. A lone lane has nothing to
+            # share a run with, so it skips its signature.
+            groups: "Dict[Optional[Tuple], List[int]]" = {}
             for i, (module, keys) in enumerate(items):
-                groups.setdefault(exec_signature(module, entry, keys),
-                                  []).append(i)
+                sig = exec_signature(module, entry, keys) if n > 1 else None
+                groups.setdefault(sig, []).append(i)
             with _stats_lock:
                 _batch_runs += 1
                 _batch_lanes += n

@@ -35,9 +35,10 @@ Bit-identity contract: for any module, :class:`KernelInterpreter` and
 the reference interpreter produce equal ``ExecutionResult.observable()``,
 ``steps``, ``block_counts`` and ``call_counts`` — or raise the same
 category of error (:class:`StepBudgetExceeded` /
-:class:`InterpreterLimitExceeded` / :class:`TrapError`).
-:func:`run_verified` executes both and hard-fails on divergence
-(``REPRO_SIM_KERNELS=verify``).
+:class:`InterpreterLimitExceeded` / :class:`TrapError`). Under
+``REPRO_SIM_KERNELS=verify`` the profiler runs every lane of every wave
+on both (:func:`run_outcome`) and hard-fails on any divergence
+(:func:`check_outcomes`).
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ from .state import (
     TrapError,
 )
 
-__all__ = ["KernelInterpreter", "VerificationError", "run_verified",
+__all__ = ["KernelInterpreter", "VerificationError",
            "run_outcome", "check_outcomes",
            "kernel_cache_info", "clear_kernel_cache", "compiled_for"]
 
@@ -1037,25 +1038,3 @@ def check_outcomes(what: str, fast: object, reference: object) -> None:
         mismatches.append("output")
     if mismatches:
         raise VerificationError(f"{what}: {', '.join(mismatches)}")
-
-
-def run_verified(module: Module, entry: str = "main",
-                 max_steps: int = 1_000_000, max_call_depth: int = 64,
-                 keys: Optional[Dict[Function, Tuple]] = None,
-                 plan_keys: Optional[Dict[Function, Tuple]] = None) -> ExecutionResult:
-    """Run kernels AND the reference, hard-failing on any divergence.
-
-    On success returns the reference result (the anchor); when both
-    sides fail with the same error category the reference exception is
-    re-raised. A category mismatch or any observable difference raises
-    :class:`VerificationError`.
-    """
-    fast = run_outcome(KernelInterpreter, module, entry, max_steps=max_steps,
-                       max_call_depth=max_call_depth, keys=keys)
-    reference = run_outcome(Interpreter, module, entry, max_steps=max_steps,
-                            max_call_depth=max_call_depth,
-                            plan_keys=plan_keys)
-    check_outcomes(f"sim-kernel divergence on @{entry}", fast, reference)
-    if isinstance(reference, BaseException):
-        raise reference
-    return reference

@@ -153,10 +153,6 @@ class Instruction(Value):
     is_terminator = False
 
     @property
-    def is_binary_op(self) -> bool:
-        return isinstance(self, BinaryOperator)
-
-    @property
     def is_memory_op(self) -> bool:
         return isinstance(self, (LoadInst, StoreInst, AllocaInst))
 

@@ -141,14 +141,6 @@ class Function(Value):
             self.blocks.insert(self.blocks.index(after) + 1, bb)
         return bb
 
-    def adopt_block(self, bb: BasicBlock, after: Optional[BasicBlock] = None) -> BasicBlock:
-        bb.parent = self
-        if after is None:
-            self.blocks.append(bb)
-        else:
-            self.blocks.insert(self.blocks.index(after) + 1, bb)
-        return bb
-
     def instructions(self) -> Iterator[Instruction]:
         for bb in self.blocks:
             yield from list(bb.instructions)

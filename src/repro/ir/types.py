@@ -75,10 +75,6 @@ class Type:
         return isinstance(self, ArrayType)
 
     @property
-    def is_function(self) -> bool:
-        return isinstance(self, FunctionType)
-
-    @property
     def is_scalar(self) -> bool:
         """True for types that fit in a single memory slot."""
         return self.is_int or self.is_float or self.is_pointer

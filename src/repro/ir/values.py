@@ -216,8 +216,3 @@ class GlobalVariable(Value):
         if len(values) < size:
             values = values + [0] * (size - len(values))
         return values[:size]
-
-
-def is_constant_value(v: Value) -> bool:
-    """True for values that are compile-time immediates."""
-    return isinstance(v, (ConstantInt, ConstantFloat, UndefValue))

@@ -367,34 +367,6 @@ class MetricsRegistry:
                 },
             }
 
-    def merge_snapshot(self, snap: Dict[str, Any],
-                       prefix: str = "") -> None:
-        """Fold a foreign snapshot (e.g. from a worker process) into this
-        registry. Counter values add; gauges overwrite; histograms merge
-        bucket-wise. ``prefix`` namespaces the foreign metric names."""
-        counters = snap.get("counters") or {}
-        gauges = snap.get("gauges") or {}
-        hists = snap.get("histograms") or {}
-        with self._lock:
-            for name, value in counters.items():
-                key = prefix + name
-                self._counters[key] = self._counters.get(key, 0.0) + value
-            for name, value in gauges.items():
-                self._gauges[prefix + name] = value
-            for name, hsnap in hists.items():
-                key = prefix + name
-                hist = self._histograms.get(key)
-                if hist is None:
-                    hist = self._histograms[key] = Histogram()
-                c = int(hsnap.get("count") or 0)
-                if c == 0:
-                    continue
-                hist.count += c
-                hist.sum += float(hsnap.get("sum") or 0.0)
-                hist.min = min(hist.min, float(hsnap["min"]))
-                hist.max = max(hist.max, float(hsnap["max"]))
-                for idx, n in (hsnap.get("buckets") or {}).items():
-                    hist.counts[int(idx)] += int(n)
 
 
 class _Span:

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from .engine.core import EvaluationEngine, canonicalize_sequence
 from .hls.delays import HLSConstraints
-from .hls.profiler import CycleProfiler, CycleReport, HLSCompilationError
+from .hls.profiler import CycleProfiler, CycleReport, lane_outcome
 from .ir.cloning import clone_module
 from .ir.module import Module
 from .passes import PassManager, pass_name_for_index
@@ -162,7 +162,7 @@ class HLSToolchain:
         """Profile a wave of modules (execution-equivalent lanes run
         once). Each entry is a :class:`CycleReport` or the exception
         that lane failed with; every lane costs exactly one simulator
-        sample, same as a serial :meth:`profile` loop."""
+        sample, same as a :meth:`profile` loop."""
         self._count_samples(len(modules))
         return self.profiler.profile_batch(list(modules), entry)
 
@@ -170,24 +170,26 @@ class HLSToolchain:
                                objective: str = "cycles",
                                area_weight: float = 0.05,
                                entry: str = "main") -> List[object]:
-        """Batched :meth:`objective_value` for the cycle-based objectives:
-        one float (or per-lane exception) per module, with sample
-        accounting identical to the serial path ('cycles-area' adds the
-        area term without an extra sample)."""
-        if objective not in ("cycles", "cycles-area"):
-            raise ValueError(
-                f"objective {objective!r} has no batched evaluation path")
-        reports = self.profile_batch(modules, entry)
-        values: List[object] = []
-        for module, report in zip(modules, reports):
-            if isinstance(report, BaseException):
-                values.append(report)
-            elif objective == "cycles":
-                values.append(float(report.cycles))
-            else:
-                values.append(float(report.cycles)
-                              + area_weight * self.area_score(module))
-        return values
+        """:meth:`objective_value` over a wave: one float, or the
+        exception that lane failed with, per module; every lane costs one
+        sample. The cycle objectives profile the wave once and add the
+        area term inside each lane's envelope, so a crash there fails
+        that lane alone; ``area`` profiles nothing."""
+        if objective not in ("cycles", "area", "cycles-area"):
+            raise ValueError(f"unknown objective {objective!r}")
+        if objective == "area":
+            self._count_samples(len(modules))
+            return [lane_outcome(self.area_score, module) for module in modules]
+
+        def value(module: Module, report: CycleReport) -> float:
+            if objective == "cycles":
+                return float(report.cycles)
+            return float(report.cycles) + area_weight * self.area_score(module)
+
+        return [report if isinstance(report, BaseException)
+                else lane_outcome(value, module, report)
+                for module, report in zip(modules,
+                                          self.profile_batch(modules, entry))]
 
     def cycle_count_with_passes(self, module: Module,
                                 actions: Sequence[Union[int, str]],
@@ -236,16 +238,12 @@ class HLSToolchain:
     def objective_value(self, module: Module, objective: str = "cycles",
                         area_weight: float = 0.05, entry: str = "main") -> float:
         """Scalar minimized by the agent: 'cycles', 'area', or 'cycles-area'
-        (a weighted co-optimization of both)."""
-        if objective == "cycles":
-            return float(self.cycle_count(module, entry))
-        if objective == "area":
-            self._count_sample()
-            return self.area_score(module)
-        if objective == "cycles-area":
-            cycles = float(self.cycle_count(module, entry))
-            return cycles + area_weight * self.area_score(module)
-        raise ValueError(f"unknown objective {objective!r}")
+        (a weighted co-optimization of both) — a wave of one."""
+        value, = self.objective_values_batch([module], objective,
+                                             area_weight, entry)
+        if isinstance(value, BaseException):
+            raise value
+        return value
 
     def reset_sample_counter(self) -> int:
         taken, self.samples_taken = self.samples_taken, 0

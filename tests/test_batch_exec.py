@@ -12,6 +12,7 @@ import pytest
 
 import repro
 from repro.engine import canonicalize_sequence
+from repro.hls.hashing import module_structural_keys
 from repro.hls.profiler import CycleProfiler, CycleReport
 from repro.interp import batch_exec
 from repro.interp.batch_exec import (
@@ -402,6 +403,40 @@ class TestEngineSeam:
             assert key in info
         assert info["batch_lanes"] == \
             info["batch_executed"] + info["batch_dedup_saved"]
+
+    def test_wave_looks_each_function_up_once(self, benchmarks):
+        """Every defined function of every lane is one schedule-cache
+        lookup, counted as a hit or a miss and never as both, and each
+        distinct structural hash of the wave is scheduled once."""
+        wave = []
+        for name in ("gsm", "qsort", "mpeg2"):
+            for seq in ([], ["-mem2reg"], ["-mem2reg", "-gvn"], ["-mem2reg"]):
+                module = clone_module(benchmarks[name])
+                HLSToolchain.apply_passes(module, seq)
+                wave.append(module)
+        profiler = CycleProfiler()
+        reports = profiler.profile_batch(wave)
+        assert all(isinstance(report, CycleReport) for report in reports)
+        lookups = sum(len(list(m.defined_functions())) for m in wave)
+        assert profiler.schedule_cache_hits + \
+            profiler.schedule_cache_misses == lookups
+        hashes = {key for m in wave
+                  for key in module_structural_keys(m).values()}
+        assert profiler.schedule_cache_misses == len(hashes) < lookups
+
+    def test_single_evaluations_compute_no_execution_signature(
+            self, benchmarks):
+        """A single evaluation is a wave of one: it runs through the
+        batch executor, but with no sibling to share a run with it
+        computes no execution signature."""
+        toolchain = HLSToolchain(sim_kernels="on")
+        toolchain.engine.clear()
+        for seq in self.SEQS:
+            toolchain.engine.evaluate(benchmarks["gsm"], seq)
+        info = batch_exec_info()
+        assert info["batch_sig_memo_misses"] == 0
+        assert info["batch_sig_memo_hits"] == 0
+        assert info["batch_lanes"] == toolchain.samples_taken > 0
 
 
 class TestSatellites:

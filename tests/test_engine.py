@@ -194,31 +194,66 @@ class TestCacheCorrectness:
         info = engine.cache_info()
         assert info["internal_errors"] == 1 and info["failures_memoized"] == 0
 
+    @pytest.mark.parametrize("where", [
+        "objective_values_batch", "_combine", "area_score"],
+        ids=["result", "combine", "area"])
     def test_wave_lane_crash_fails_that_lane_only(self, benchmarks,
-                                                  monkeypatch):
+                                                  monkeypatch, where):
+        # a crash anywhere in a lane — its whole result, combining visits
+        # with states, or the area term — fails that lane's sequence alone
         from repro.engine import EvaluationCrash
 
+        program = benchmarks["gsm"]
+        sequences = [[7], [13], [23], [26]]
+        objective = "cycles-area" if where == "area_score" else "cycles"
+        reference = HLSToolchain(use_engine=False)
+
+        def expected(seq):
+            module = clone_module(program)
+            reference.apply_passes(module, seq)
+            return reference.objective_value(module, objective)
+
+        values = [expected(seq) for seq in sequences]
+        features = [reference.features_after(program, seq) for seq in sequences]
         toolchain = HLSToolchain()
-        engine, program = toolchain.engine, benchmarks["gsm"]
-        real = toolchain.objective_values_batch
+        engine = toolchain.engine
 
-        def crash_last_lane(modules, *args, **kwargs):
-            return real(modules, *args, **kwargs)[:-1] + [
-                ZeroDivisionError("simulator bug")]
+        def second_lane_crashes(real, module_arg):
+            seen = []
 
-        monkeypatch.setattr(toolchain, "objective_values_batch",
-                            crash_last_lane)
-        rows = engine.evaluate_batch(program, [[38], [38, 31]],
+            def planted(*args, **kwargs):
+                module = args[module_arg]
+                if not any(module is m for m in seen):
+                    seen.append(module)
+                if len(seen) > 1 and module is seen[1]:
+                    raise RuntimeError("planted crash")
+                return real(*args, **kwargs)
+            return planted
+
+        if where == "objective_values_batch":
+            real = toolchain.objective_values_batch
+
+            def crash_second_lane(modules, *args, **kwargs):
+                out = real(modules, *args, **kwargs)
+                out[1] = ZeroDivisionError("simulator bug")
+                return out
+
+            monkeypatch.setattr(toolchain, where, crash_second_lane)
+        elif where == "_combine":
+            monkeypatch.setattr(CycleProfiler, where, second_lane_crashes(
+                CycleProfiler._combine, 1))
+        else:
+            monkeypatch.setattr(toolchain, where, second_lane_crashes(
+                toolchain.area_score, 0))
+        rows = engine.evaluate_batch(program, sequences, objective=objective,
                                      want_features=True)
-        assert rows[0][0] == HLSToolchain(
-            use_engine=False).cycle_count_with_passes(program, [38])
+        assert toolchain.samples_taken == len(sequences)  # one lane each
+        assert [row[0] for row in rows] == [values[0], None] + values[2:]
         # the module was built, so the crashed row still has features
-        assert rows[1][0] is None
-        np.testing.assert_array_equal(
-            rows[1][1], HLSToolchain(use_engine=False).features_after(
-                program, [38, 31]))
-        assert isinstance(engine.memoized_failure(program, [38, 31]),
-                          EvaluationCrash)
+        for row, feats in zip(rows, features):
+            np.testing.assert_array_equal(row[1], feats)
+        assert isinstance(engine.memoized_failure(
+            program, sequences[1], objective=objective), EvaluationCrash)
         assert engine.cache_info()["internal_errors"] == 1
 
     def test_unbuildable_crash_row_has_no_features(self, benchmarks):
@@ -747,9 +782,9 @@ class TestEffectiveSequence:
                                                max_steps, counter):
         toolchain = HLSToolchain(max_steps=max_steps)
         if counter == "failures_memoized":  # a genuine HLS failure
-            def reject(module, entry="main"):
-                raise HLSCompilationError("rejected")
-            monkeypatch.setattr(toolchain.profiler, "profile", reject)
+            def reject(modules, entry="main"):
+                return [HLSCompilationError("rejected") for _ in modules]
+            monkeypatch.setattr(toolchain.profiler, "profile_batch", reject)
         engine, program = toolchain.engine, benchmarks["gsm"]
         a, = _changing(program, "-mem2reg")
         x, = _noops(program, "-adce")

@@ -20,7 +20,6 @@ from repro.interp import (
     clear_kernel_cache,
     clear_plan_cache,
     kernel_cache_info,
-    run_verified,
 )
 from repro.ir import Function, GlobalVariable, IRBuilder, Module
 from repro.ir import types as ty
@@ -230,8 +229,9 @@ class TestVerifyMode:
                 assert r.execution.observable() == \
                     base.execution.observable(), where
 
-    def test_run_verified_passes_on_agreement(self, benchmarks):
-        res = run_verified(benchmarks["matmul"])
+    def test_verify_profile_passes_on_agreement(self, benchmarks):
+        res = CycleProfiler(sim_kernels="verify").profile(
+            benchmarks["matmul"]).execution
         assert res.observable() == Interpreter(benchmarks["matmul"]).run().observable()
 
     def test_scheduler_divergence_raises_verification_error(

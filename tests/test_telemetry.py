@@ -231,23 +231,6 @@ class TestTracing:
 
 
 class TestRegistryMerge:
-    def test_merge_snapshot_semantics(self):
-        a = MetricsRegistry()
-        a.count("jobs", 2)
-        a.gauge_set("inflight", 5)
-        a.observe("latency", 0.5)
-        b = MetricsRegistry()
-        b.count("jobs", 3)
-        b.gauge_set("inflight", 1)
-        b.observe("latency", 0.25)
-        a.merge_snapshot(b.snapshot())
-        snap = a.snapshot()
-        assert snap["counters"]["jobs"] == 5           # counters add
-        assert snap["gauges"]["inflight"] == 1         # gauges overwrite
-        assert snap["histograms"]["latency"]["count"] == 2
-        a.merge_snapshot(b.snapshot(), prefix="worker.")
-        assert a.snapshot()["counters"]["worker.jobs"] == 3
-
     def test_aggregate_sums_gauges_across_processes(self):
         # Extensive-quantity convention: a gauge like server.inflight
         # sums across processes in the merged dashboard view.
@@ -586,12 +569,14 @@ class TestCLISurfaces:
             return payload["cycles"], {row["function"] for row in payload["hotspots"]}
 
         # default 'all' = one engine.evaluate on a cleared engine: clone,
-        # passes and the profile are all under the profiler
+        # passes and the profile (a wave of one) are all under the profiler
         cycles, seen = functions("all")
-        assert cycles > 0 and {"clone_module", "run_on_function", "profile"} <= seen
+        assert cycles > 0 and {"clone_module", "run_on_function",
+                               "profile_batch"} <= seen
         cycles, seen = functions("materialize")
         assert cycles is None
-        assert {"clone_module", "run_on_function"} <= seen and "profile" not in seen
+        assert {"clone_module", "run_on_function"} <= seen
+        assert "profile_batch" not in seen
         cycles, seen = functions("profile")
         assert cycles > 0 and "clone_module" not in seen
 
