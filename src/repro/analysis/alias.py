@@ -12,7 +12,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Optional, Tuple
 
-from ..ir.instructions import AllocaInst, CallInst, GEPInst, Instruction
+from ..ir.instructions import AllocaInst, CallInst, GEPInst
 from ..ir.values import Argument, ConstantInt, GlobalVariable, Value
 
 __all__ = ["AliasResult", "underlying_object", "constant_offset", "alias", "points_into"]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..ir.instructions import BranchInst, PhiNode
+from ..ir.instructions import BranchInst
 from ..ir.module import BasicBlock, Function
 
 __all__ = [

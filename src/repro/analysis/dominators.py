@@ -7,7 +7,7 @@ SSA-dominance check.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from ..ir.instructions import Instruction, PhiNode
 from ..ir.module import BasicBlock, Function

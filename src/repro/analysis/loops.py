@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..ir.instructions import BinaryOperator, BranchInst, ICmpInst, Instruction, PhiNode
+from ..ir.instructions import BinaryOperator, BranchInst, ICmpInst, PhiNode
 from ..ir.module import BasicBlock, Function
 from ..ir.values import ConstantInt, Value
 from .dominators import DominatorTree

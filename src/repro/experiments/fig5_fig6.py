@@ -19,7 +19,6 @@ import numpy as np
 
 from ..forest.importance import (
     ImportanceAnalysis,
-    ImportanceDataset,
     analyze_importance,
     collect_exploration_data,
 )

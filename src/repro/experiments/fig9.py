@@ -33,8 +33,6 @@ from ..programs.generator import generate_corpus
 from ..rl.agents import train_agent
 from ..search.base import SequenceEvaluator
 from ..search.genetic import GAConfig, genetic_search
-from ..search.greedy import greedy_search
-from ..search.opentuner import OpenTunerConfig, opentuner_search
 from ..toolchain import HLSToolchain
 from .config import ExperimentScale, get_scale
 from .fig5_fig6 import run_fig5_fig6

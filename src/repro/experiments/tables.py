@@ -4,8 +4,6 @@ drift between code and paper is caught by the table tests/benches.
 
 from __future__ import annotations
 
-from typing import List
-
 from ..features.table import FEATURE_NAMES
 from ..passes.registry import PASS_TABLE
 from ..rl.agents import TABLE3

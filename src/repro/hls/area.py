@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..ir.instructions import AllocaInst, Instruction
+from ..ir.instructions import AllocaInst
 from ..ir.module import Module
 from .delays import HLSConstraints, TimingLibrary
 from .scheduler import ModuleSchedule, Scheduler

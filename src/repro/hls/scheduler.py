@@ -21,7 +21,7 @@ between may-aliasing pairs using :mod:`repro.analysis.alias`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis.alias import AliasResult, alias
@@ -30,7 +30,6 @@ from ..ir.instructions import (
     Instruction,
     InvokeInst,
     LoadInst,
-    PhiNode,
     StoreInst,
 )
 from ..ir.module import BasicBlock, Function, Module

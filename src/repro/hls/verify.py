@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 from ..interp.interpreter import Interpreter
 from ..ir.module import BasicBlock, Module
 from .delays import HLSConstraints
-from .scheduler import ModuleSchedule, Scheduler
+from .scheduler import Scheduler
 
 __all__ = ["TraceRecorder", "replay_cycles", "verify_profile"]
 

@@ -15,7 +15,7 @@ Each entry carries:
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, FrozenSet
+from typing import Dict, FrozenSet
 
 from .state import Memory, MemPointer, TrapError
 

@@ -12,11 +12,10 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from .. import telemetry as tm
-from ..ir import types as ty
 from ..ir.folding import eval_cast, eval_fcmp, eval_float_binop, eval_icmp, eval_int_binop
 from ..ir.instructions import (
     AllocaInst,
@@ -40,7 +39,6 @@ from ..ir.instructions import (
 )
 from ..ir.module import BasicBlock, Function, Module
 from ..ir.values import (
-    Argument,
     ConstantFloat,
     ConstantInt,
     GlobalVariable,

@@ -9,7 +9,7 @@ filter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Union
 
 __all__ = ["MemPointer", "Memory", "TrapError", "InterpreterLimitExceeded",

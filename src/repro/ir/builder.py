@@ -11,7 +11,7 @@ new instruction, so program construction reads like straight-line code:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from . import types as ty
 from .instructions import (

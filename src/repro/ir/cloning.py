@@ -12,7 +12,7 @@ first, then one fill of operands and references (see its docstring).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .instructions import (
     AllocaInst,

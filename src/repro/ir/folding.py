@@ -20,7 +20,7 @@ Deliberate total-function choices (documented for reviewers):
 from __future__ import annotations
 
 import math
-from typing import Optional, Union
+from typing import Union
 
 from . import types as ty
 

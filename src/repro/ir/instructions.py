@@ -19,10 +19,10 @@ Design notes
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from . import types as ty
-from .values import Constant, ConstantFloat, ConstantInt, UndefValue, Value
+from .values import ConstantFloat, ConstantInt, Value
 
 if TYPE_CHECKING:  # pragma: no cover
     from .module import BasicBlock, Function

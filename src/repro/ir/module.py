@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
+from typing import Dict, Iterator, List, Optional, Sequence, Set
 
 from . import types as ty
-from .instructions import BranchInst, Instruction, PhiNode
+from .instructions import Instruction, PhiNode
 from .values import Argument, GlobalVariable, Value, fresh_name
 
 __all__ = ["BasicBlock", "Function", "Module"]

@@ -10,13 +10,13 @@ consistent across transformations.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, Iterator, List, Optional, TYPE_CHECKING
+from typing import Dict, List, TYPE_CHECKING
 
 from . import types as ty
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from .instructions import Instruction
-    from .module import BasicBlock, Function
+    from .module import Function
 
 __all__ = [
     "Value",

@@ -11,13 +11,11 @@ from __future__ import annotations
 from typing import List, Set
 
 from .instructions import (
-    BranchInst,
     CallInst,
     Instruction,
     InvokeInst,
     PhiNode,
     ReturnInst,
-    SwitchInst,
 )
 from .module import BasicBlock, Function, Module
 from .values import Argument, Constant, GlobalVariable, Value

@@ -8,8 +8,7 @@ arbitrary user-chosen sequences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Type, Union
+from typing import Callable, Dict, List, Sequence, Type, Union
 
 from ..ir.module import Function, Module
 from ..ir.verifier import verify_module

@@ -22,7 +22,6 @@ from ..ir.instructions import (
     ICmpInst,
     Instruction,
     LoadInst,
-    PhiNode,
     StoreInst,
 )
 from ..ir.module import BasicBlock, Function

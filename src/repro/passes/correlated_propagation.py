@@ -14,10 +14,8 @@ search exploits.
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 from ..analysis.dominators import DominatorTree
-from ..ir.instructions import BranchInst, ICmpInst, Instruction, PhiNode
+from ..ir.instructions import BranchInst, ICmpInst, PhiNode
 from ..ir.module import BasicBlock, Function
 from ..ir.values import ConstantInt, Value
 from .base import FunctionPass, register_pass

@@ -14,9 +14,8 @@ from typing import List
 
 from ..analysis.callgraph import CallGraph
 from ..ir import types as ty
-from ..ir.instructions import CallInst, Instruction, ReturnInst
+from ..ir.instructions import CallInst, ReturnInst
 from ..ir.module import Function, Module
-from ..ir.values import UndefValue
 from .base import Pass, register_pass
 
 __all__ = ["DeadArgElim"]

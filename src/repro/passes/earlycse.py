@@ -26,13 +26,11 @@ from ..ir.instructions import (
     GEPInst,
     ICmpInst,
     Instruction,
-    InvokeInst,
     LoadInst,
     SelectInst,
     StoreInst,
 )
 from ..ir.module import BasicBlock, Function
-from ..ir.values import Value
 from .base import FunctionPass, register_pass
 from .utils import replace_and_erase, simplify_instruction
 

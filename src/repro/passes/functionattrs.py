@@ -15,14 +15,10 @@ slots construct this pass.
 
 from __future__ import annotations
 
-from typing import Set
-
-import networkx as nx
-
 from ..analysis.alias import underlying_object, _escapes
 from ..analysis.callgraph import CallGraph
-from ..ir.instructions import AllocaInst, CallInst, Instruction, InvokeInst, LoadInst, StoreInst
-from ..ir.module import Function, Module
+from ..ir.instructions import AllocaInst, CallInst, InvokeInst, LoadInst, StoreInst
+from ..ir.module import Module
 from .base import Pass, register_pass
 
 __all__ = ["FunctionAttrs"]
@@ -40,14 +36,8 @@ class FunctionAttrs(Pass):
     def run(self, module: Module) -> bool:
         cg = CallGraph(module)
         changed = False
-        sccs = list(nx.strongly_connected_components(cg.graph))
         # Bottom-up: condensation topological order reversed.
-        condensation = nx.condensation(cg.graph, scc=sccs)
-        order = list(nx.topological_sort(condensation))
-        order.reverse()
-
-        for scc_id in order:
-            members: Set[Function] = set(condensation.nodes[scc_id]["members"])
+        for members in reversed(cg.topological_sccs()):
             defined = [f for f in members if not f.is_declaration]
             if not defined:
                 continue

@@ -10,12 +10,12 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from ..analysis.callgraph import CallGraph
 from ..ir import types as ty
-from ..ir.instructions import CallInst, GEPInst, Instruction, InvokeInst, LoadInst, StoreInst
-from ..ir.module import Function, Module
+from ..ir.instructions import CallInst, GEPInst, InvokeInst, LoadInst, StoreInst
+from ..ir.module import Module
 from ..ir.values import ConstantFloat, ConstantInt, GlobalVariable, Value
 from .base import Pass, register_pass
 from .utils import replace_and_erase

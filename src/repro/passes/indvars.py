@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from ..analysis.loops import Loop, LoopInfo
 from ..ir import types as ty
-from ..ir.instructions import BinaryOperator, BranchInst, ICmpInst, Instruction, PhiNode
+from ..ir.instructions import BinaryOperator, BranchInst, ICmpInst, PhiNode
 from ..ir.module import Function
 from ..ir.values import ConstantInt
 from .base import FunctionPass, register_pass
-from .loop_utils import ensure_simplified
 
 __all__ = ["IndVarSimplify"]
 

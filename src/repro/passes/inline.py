@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..analysis.callgraph import CallGraph
 from ..ir.cloning import clone_blocks
-from ..ir.instructions import BranchInst, CallInst, Instruction, PhiNode, ReturnInst
+from ..ir.instructions import BranchInst, CallInst, PhiNode, ReturnInst
 from ..ir.module import BasicBlock, Function, Module
 from ..ir.values import ConstantInt, Value
 from .base import Pass, register_pass

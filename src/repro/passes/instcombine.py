@@ -28,7 +28,6 @@ from ..ir.instructions import (
     CastInst,
     ICmpInst,
     Instruction,
-    SelectInst,
 )
 from ..ir.module import Function
 from ..ir.values import ConstantInt, Value

@@ -13,11 +13,11 @@ flow onward into callees and back.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..analysis.callgraph import CallGraph
 from ..ir import types as ty
-from ..ir.instructions import CallInst, Instruction, ReturnInst
+from ..ir.instructions import CallInst, ReturnInst
 from ..ir.module import Function, Module
 from ..ir.values import Argument, ConstantFloat, ConstantInt, Value
 from .base import Pass, register_pass

@@ -19,7 +19,7 @@ from typing import Optional
 from ..analysis.cfg import remove_unreachable_blocks
 from ..ir import types as ty
 from ..ir.folding import eval_icmp
-from ..ir.instructions import BranchInst, ICmpInst, Instruction, PhiNode
+from ..ir.instructions import BranchInst, ICmpInst, PhiNode
 from ..ir.module import BasicBlock, Function
 from ..ir.values import ConstantInt
 from .base import FunctionPass, register_pass

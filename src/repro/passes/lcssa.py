@@ -9,11 +9,9 @@ from the generators and benchmarks are single-exit after -loop-simplify).
 
 from __future__ import annotations
 
-from typing import Dict, List
-
 from ..analysis.loops import Loop, LoopInfo
-from ..ir.instructions import Instruction, PhiNode
-from ..ir.module import BasicBlock, Function
+from ..ir.instructions import PhiNode
+from ..ir.module import Function
 from .base import FunctionPass, register_pass
 
 __all__ = ["LCSSA"]

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from ..analysis.cfg import remove_unreachable_blocks
 from ..analysis.loops import Loop, LoopInfo
-from ..ir.instructions import BranchInst, CallInst, Instruction, InvokeInst, StoreInst
+from ..ir.instructions import BranchInst, CallInst, InvokeInst, StoreInst
 from ..ir.module import Function
 from .base import FunctionPass, register_pass
-from .loop_utils import ensure_simplified, is_loop_invariant
+from .loop_utils import ensure_simplified
 
 __all__ = ["LoopDeletion"]
 

@@ -22,10 +22,8 @@ from ..ir import types as ty
 from ..ir.instructions import (
     BinaryOperator,
     BranchInst,
-    CallInst,
     GEPInst,
     ICmpInst,
-    Instruction,
     LoadInst,
     PhiNode,
     StoreInst,

@@ -14,7 +14,7 @@ from typing import List
 
 from ..analysis.loops import Loop, LoopInfo
 from ..ir import types as ty
-from ..ir.instructions import BinaryOperator, Instruction, PhiNode
+from ..ir.instructions import BinaryOperator, PhiNode
 from ..ir.module import Function
 from ..ir.values import ConstantInt, Value
 from .base import FunctionPass, register_pass

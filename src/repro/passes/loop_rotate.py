@@ -17,7 +17,7 @@ old header get merge phis in the new header and in the exit block.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from ..analysis.loops import Loop, LoopInfo
 from ..ir.cloning import clone_instruction
@@ -25,7 +25,7 @@ from ..ir.instructions import BranchInst, Instruction, PhiNode
 from ..ir.module import BasicBlock, Function
 from ..ir.values import Value
 from .base import FunctionPass, register_pass
-from .loop_utils import ensure_simplified, loop_instruction_count
+from .loop_utils import ensure_simplified
 
 __all__ = ["LoopRotate"]
 

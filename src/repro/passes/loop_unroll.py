@@ -19,7 +19,7 @@ from typing import Dict, List, Optional
 
 from ..analysis.loops import Loop, LoopInfo
 from ..ir.cloning import clone_blocks
-from ..ir.instructions import BranchInst, Instruction, PhiNode
+from ..ir.instructions import BranchInst, PhiNode
 from ..ir.module import BasicBlock, Function
 from ..ir.values import Value
 from .base import FunctionPass, register_pass

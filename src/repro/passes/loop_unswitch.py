@@ -9,13 +9,13 @@ dead arm — the same pass synergy LLVM relies on).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from ..analysis.loops import Loop, LoopInfo
 from ..ir.cloning import clone_blocks
-from ..ir.instructions import BranchInst, Instruction, PhiNode
-from ..ir.module import BasicBlock, Function
-from ..ir.values import ConstantInt, Value
+from ..ir.instructions import BranchInst
+from ..ir.module import Function
+from ..ir.values import ConstantInt
 from .base import FunctionPass, register_pass
 from .loop_utils import ensure_simplified, is_loop_invariant, loop_instruction_count
 

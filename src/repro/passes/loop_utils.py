@@ -12,9 +12,9 @@ loop pass; we mirror that by letting each loop pass call
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List
 
-from ..analysis.loops import Loop, LoopInfo
+from ..analysis.loops import Loop
 from ..ir.instructions import BranchInst, PhiNode
 from ..ir.module import BasicBlock, Function
 from ..ir.values import Value

@@ -21,14 +21,11 @@ passes and the HLS backend reason about best:
 
 from __future__ import annotations
 
-from typing import List
-
 from ..analysis.cfg import critical_edges, remove_unreachable_blocks, split_edge
 from ..ir.instructions import (
     BranchInst,
     CallInst,
     ICmpInst,
-    Instruction,
     InvokeInst,
     LoadInst,
     StoreInst,

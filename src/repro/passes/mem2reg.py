@@ -13,10 +13,10 @@ forests rank it among the always-useful passes (§4.2).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from ..analysis.dominators import DominatorTree
-from ..ir.instructions import AllocaInst, Instruction, LoadInst, PhiNode, StoreInst
+from ..ir.instructions import AllocaInst, LoadInst, PhiNode, StoreInst
 from ..ir.module import BasicBlock, Function
 from ..ir.values import UndefValue, Value
 from .base import FunctionPass, register_pass

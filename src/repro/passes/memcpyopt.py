@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 from ..analysis.alias import constant_offset
 from ..ir import types as ty
 from ..ir.builder import IRBuilder
-from ..ir.instructions import CallInst, Instruction, LoadInst, StoreInst
+from ..ir.instructions import CallInst, LoadInst, StoreInst
 from ..ir.module import BasicBlock, Function
 from ..ir.values import ConstantInt, Value
 from .base import FunctionPass, register_pass

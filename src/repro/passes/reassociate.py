@@ -15,11 +15,11 @@ substrate:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..ir import types as ty
 from ..ir.folding import eval_int_binop
-from ..ir.instructions import BinaryOperator, Instruction
+from ..ir.instructions import BinaryOperator
 from ..ir.module import Function
 from ..ir.values import ConstantInt, Value
 from .base import FunctionPass, register_pass

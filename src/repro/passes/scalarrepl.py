@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from ..ir import types as ty
-from ..ir.instructions import AllocaInst, GEPInst, Instruction, LoadInst, StoreInst
+from ..ir.instructions import AllocaInst, GEPInst, LoadInst, StoreInst
 from ..ir.module import Function
 from ..ir.values import ConstantInt
 from .base import FunctionPass, register_pass

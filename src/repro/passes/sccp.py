@@ -20,7 +20,6 @@ from ..ir.folding import eval_cast, eval_fcmp, eval_float_binop, eval_icmp, eval
 from ..ir.instructions import (
     BinaryOperator,
     BranchInst,
-    CallInst,
     CastInst,
     FCmpInst,
     FNegInst,

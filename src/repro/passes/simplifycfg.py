@@ -17,11 +17,9 @@ dynamic visit, which is why this pass is part of every good ordering.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 from ..analysis.cfg import remove_unreachable_blocks
-from ..ir.instructions import BranchInst, Instruction, PhiNode, SwitchInst
-from ..ir.module import BasicBlock, Function
+from ..ir.instructions import BranchInst, SwitchInst
+from ..ir.module import Function
 from ..ir.values import ConstantInt
 from .base import FunctionPass, register_pass
 from .utils import delete_dead_instructions, replace_and_erase

@@ -21,7 +21,6 @@ from ..analysis.dominators import DominatorTree
 from ..analysis.loops import LoopInfo
 from ..ir.instructions import (
     BinaryOperator,
-    CallInst,
     CastInst,
     FCmpInst,
     FNegInst,
@@ -31,7 +30,6 @@ from ..ir.instructions import (
     LoadInst,
     PhiNode,
     SelectInst,
-    StoreInst,
 )
 from ..ir.module import BasicBlock, Function
 from .base import FunctionPass, register_pass

@@ -14,9 +14,9 @@ compatible return).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from ..ir.instructions import BranchInst, CallInst, Instruction, PhiNode, ReturnInst
+from ..ir.instructions import BranchInst, CallInst, PhiNode, ReturnInst
 from ..ir.module import BasicBlock, Function
 from .base import FunctionPass, register_pass
 

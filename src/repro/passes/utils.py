@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Optional
 
 from ..ir import types as ty
 from ..ir.folding import eval_cast, eval_fcmp, eval_float_binop, eval_icmp, eval_int_binop
 from ..ir.instructions import (
     BinaryOperator,
-    BranchInst,
     CallInst,
     CastInst,
     FCmpInst,
@@ -18,8 +17,8 @@ from ..ir.instructions import (
     PhiNode,
     SelectInst,
 )
-from ..ir.module import BasicBlock, Function
-from ..ir.values import ConstantFloat, ConstantInt, UndefValue, Value
+from ..ir.module import Function
+from ..ir.values import ConstantFloat, ConstantInt, Value
 
 __all__ = [
     "constant_fold",

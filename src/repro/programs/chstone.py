@@ -25,8 +25,8 @@ from __future__ import annotations
 from typing import Callable, Dict, List
 
 from ..ir import types as ty
-from ..ir.module import Function, Module
-from ..ir.values import ConstantInt, GlobalVariable
+from ..ir.module import Module
+from ..ir.values import GlobalVariable
 from .cbuilder import CWriter
 
 __all__ = ["BENCHMARK_NAMES", "build", "build_all"]

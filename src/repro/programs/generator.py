@@ -15,12 +15,12 @@ applies it, so "100 random programs" always means 100 usable ones.
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 from ..hls.profiler import CycleProfiler, HLSCompilationError
 from ..ir import types as ty
 from ..ir.module import Function, Module
-from ..ir.values import ConstantInt, GlobalVariable, Value
+from ..ir.values import GlobalVariable, Value
 from .cbuilder import CWriter
 
 __all__ = ["GeneratorConfig", "RandomProgramGenerator", "passes_hls_filter", "generate_corpus"]

@@ -14,7 +14,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-from .nn import MLP, log_softmax, sample_categorical
+from .nn import MLP, sample_categorical
 
 __all__ = ["ESConfig", "ESAgent"]
 

@@ -13,7 +13,7 @@ cycle improvement so long-running programs don't dominate the gradient.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 

@@ -21,7 +21,7 @@ from ..ir.module import Module
 from ..passes.registry import NUM_TRANSFORMS
 from ..toolchain import HLSToolchain
 from .base import SearchResult, SequenceEvaluator, score_population
-from .genetic import GAConfig, _crossover
+from .genetic import _crossover
 from .pso import PSOConfig, _Swarm
 
 __all__ = ["OpenTunerConfig", "opentuner_search"]
