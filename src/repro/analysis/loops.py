@@ -265,5 +265,5 @@ def _make_synthetic_icmp(pred: str, lhs: Value, rhs: Value) -> ICmpInst:
     probe = ICmpInst(pred, lhs, rhs)
     probe.drop_all_references()
     # Re-attach operand references without use tracking.
-    probe._operands = [lhs, rhs]  # type: ignore[attr-defined]
+    probe._operands = (lhs, rhs)  # type: ignore[attr-defined]
     return probe

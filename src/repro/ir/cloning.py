@@ -110,7 +110,8 @@ def clone_instruction(inst: Instruction, vmap: Dict[Value, Value]) -> Instructio
         new = UnreachableInst()
     else:  # pragma: no cover - exhaustive over the instruction set
         raise TypeError(f"cannot clone instruction of type {type(inst).__name__}")
-    new.metadata = dict(inst.metadata)
+    if inst._metadata:
+        new._metadata = dict(inst._metadata)
     return new
 
 
@@ -224,8 +225,10 @@ def clone_module(module: Module) -> Module:
 
     The clone shares no mutable state with the original: globals get fresh
     initializer lists, functions fresh attribute sets and metadata dicts,
-    and direct calls are retargeted to the cloned functions. Only the
-    immutable leaves — constants and types — are shared.
+    instructions a fresh metadata dict when the source has a non-empty one
+    (``None`` otherwise), and direct calls are retargeted to the cloned
+    functions. Only the immutable leaves — constants and types — are
+    shared.
 
     Two walks per function and no constructor: the first allocates every
     block and instruction shell (so forward references resolve), the
@@ -265,21 +268,21 @@ def clone_module(module: Module) -> Module:
                 ci = allocate(cls)
                 ci.type = inst.type
                 ci.name = inst.name + ".c" if named else inst.name
-                ci._uses = {}
+                ci._uses = []
                 ci.opcode = inst.opcode
                 ci.parent = nb
-                ci.metadata = dict(inst.metadata)
+                md = inst._metadata
+                ci._metadata = dict(md) if md else None
                 for slot in copied:
                     setattr(ci, slot, getattr(inst, slot))
                 shells.append(ci)
                 vmap[inst] = ci
         for bb in func.blocks:
             for inst, ci in zip(bb.instructions, vmap[bb].instructions):
-                operands = ci._operands = [vmap.get(op, op) for op in inst._operands]
+                operands = ci._operands = tuple([vmap.get(op, op) for op in inst._operands])
                 for op in operands:
                     if not isinstance(op, Constant):  # constants keep no use list
-                        uses = op._uses
-                        uses[ci] = uses.get(ci, 0) + 1
+                        op._uses.append(ci)
                 for slot, retarget in _CLONE_PLANS[inst.__class__][2]:
                     setattr(ci, slot, retarget(getattr(inst, slot), vmap))
     return new

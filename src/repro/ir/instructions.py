@@ -68,34 +68,50 @@ CAST_OPS = ("trunc", "zext", "sext", "bitcast", "sitofp", "fptosi")
 class Instruction(Value):
     """Base class: a typed value produced by an operation inside a block."""
 
-    __slots__ = ("opcode", "_operands", "parent", "metadata")
+    __slots__ = ("opcode", "_operands", "parent", "_metadata")
 
     def __init__(self, opcode: str, type_: ty.Type, operands: Sequence[Value], name: str = "") -> None:
         super().__init__(type_, name)
         self.opcode = opcode
         self.parent: Optional["BasicBlock"] = None
-        self.metadata: Dict[str, object] = {}
-        self._operands: List[Value] = []
-        for op in operands:
-            self._append_operand(op)
+        self._metadata: Optional[Dict[str, object]] = None
+        self._operands: Tuple[Value, ...] = tuple(operands)
+        for op in self._operands:
+            if not isinstance(op, Value):
+                raise TypeError(f"operand must be a Value, got {op!r}")
+            op._add_use(self)
+
+    # -- metadata --------------------------------------------------------------
+    @property
+    def metadata(self) -> Dict[str, object]:
+        """Named annotations (``dbg``, ``atomic``, ...), created on first
+        access. Nearly every instruction has none, so ``_metadata`` stays
+        ``None`` until then; code that only reads tests ``_metadata``."""
+        md = self._metadata
+        if md is None:
+            md = self._metadata = {}
+        return md
 
     # -- operand management ------------------------------------------------
     def _append_operand(self, value: Value) -> None:
         if not isinstance(value, Value):
             raise TypeError(f"operand must be a Value, got {value!r}")
-        self._operands.append(value)
+        self._operands += (value,)
         value._add_use(self)
 
     @property
     def operands(self) -> Tuple[Value, ...]:
-        return tuple(self._operands)
+        return self._operands
 
     def set_operand(self, index: int, value: Value) -> None:
-        old = self._operands[index]
+        operands = self._operands
+        old = operands[index]
         if old is value:
             return
         old._remove_use(self)
-        self._operands[index] = value
+        rebuilt = list(operands)  # also right for a negative index
+        rebuilt[index] = value
+        self._operands = tuple(rebuilt)
         value._add_use(self)
 
     def _replace_operand_value(self, old: Value, new: Value) -> None:
@@ -108,7 +124,7 @@ class Instruction(Value):
         """Release all operand uses (used when deleting whole regions)."""
         for op in self._operands:
             op._remove_use(self)
-        self._operands = []
+        self._operands = ()
 
     # -- block placement -----------------------------------------------------
     def erase_from_parent(self) -> None:
@@ -371,7 +387,7 @@ class GEPInst(Instruction):
 
     @property
     def indices(self) -> Tuple[Value, ...]:
-        return tuple(self._operands[1:])
+        return self._operands[1:]
 
     def element_strides(self) -> List[int]:
         """Slot stride contributed by each index (parallel to ``indices``)."""
@@ -487,8 +503,9 @@ class PhiNode(Instruction):
     def remove_incoming(self, block: "BasicBlock") -> None:
         for i, pred in enumerate(self.incoming_blocks):
             if pred is block:
-                self._operands[i]._remove_use(self)
-                del self._operands[i]
+                operands = self._operands
+                operands[i]._remove_use(self)
+                self._operands = operands[:i] + operands[i + 1:]
                 del self.incoming_blocks[i]
                 return
         raise KeyError(f"phi {self.name} has no incoming edge from {block.name}")
@@ -558,7 +575,7 @@ class BranchInst(Instruction):
         """Collapse to ``br target`` (used when the condition is constant)."""
         if self._operands:
             self._operands[0]._remove_use(self)
-            self._operands = []
+            self._operands = ()
         self._targets = [target]
 
 

@@ -10,7 +10,7 @@ consistent across transformations.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, TYPE_CHECKING
+from typing import List, TYPE_CHECKING
 
 from . import types as ty
 
@@ -39,7 +39,7 @@ def fresh_name(prefix: str = "v") -> str:
 class Value:
     """Anything that can be used as an operand.
 
-    Maintains a multiset of using instructions so that
+    Keeps one use entry per operand slot that references it, so
     ``replace_all_uses_with`` and dead-code queries are O(uses).
     """
 
@@ -48,29 +48,34 @@ class Value:
     def __init__(self, type_: ty.Type, name: str = "") -> None:
         self.type = type_
         self.name = name or fresh_name()
-        # Multiset: instruction -> number of operand slots referencing self.
-        self._uses: Dict["Instruction", int] = {}
+        # One entry per operand slot referencing self: a user that reads
+        # self twice (``add x, x``) appears twice.
+        self._uses: List["Instruction"] = []
 
     # -- use bookkeeping (called by Instruction only) ---------------------
     def _add_use(self, user: "Instruction") -> None:
-        self._uses[user] = self._uses.get(user, 0) + 1
+        self._uses.append(user)
 
     def _remove_use(self, user: "Instruction") -> None:
-        count = self._uses.get(user, 0)
-        if count <= 1:
-            self._uses.pop(user, None)
-        else:
-            self._uses[user] = count - 1
+        # Drop the *last* entry of ``user``: its first entry, which fixes
+        # its place in ``users()``, goes only with its last slot.
+        uses = self._uses
+        index = -1
+        for _ in range(uses.count(user)):
+            index = uses.index(user, index + 1)
+        if index >= 0:
+            del uses[index]
 
     # -- public API --------------------------------------------------------
     def users(self) -> List["Instruction"]:
-        """Distinct instructions currently using this value."""
-        return list(self._uses.keys())
+        """Distinct instructions currently using this value, in the order
+        they first started using it."""
+        return list(dict.fromkeys(self._uses))
 
     @property
     def num_uses(self) -> int:
         """Total operand slots referencing this value (with multiplicity)."""
-        return sum(self._uses.values())
+        return len(self._uses)
 
     @property
     def is_used(self) -> bool:
@@ -80,7 +85,7 @@ class Value:
         """Rewrite every operand slot referencing ``self`` to ``new``."""
         if new is self:
             return
-        for user in list(self._uses.keys()):
+        for user in dict.fromkeys(self._uses):
             user._replace_operand_value(self, new)
 
     def __str__(self) -> str:
@@ -101,6 +106,11 @@ class Constant(Value):
     """
 
     __slots__ = ()
+
+    def __init__(self, type_: ty.Type, name: str) -> None:
+        self.type = type_
+        self.name = name
+        self._uses = ()  # the shared empty tuple: no container per constant
 
     def _add_use(self, user: "Instruction") -> None:
         pass

@@ -145,9 +145,9 @@ class LowerAtomic(FunctionPass):
         for bb in func.blocks:
             for inst in bb.instructions:
                 if isinstance(inst, (LoadInst, StoreInst)) and inst.is_volatile:
-                    if inst.metadata.get("atomic"):
+                    if inst._metadata and inst._metadata.get("atomic"):
                         inst.is_volatile = False
-                        inst.metadata.pop("atomic", None)
+                        del inst._metadata["atomic"]
                         changed = True
         return changed
 

@@ -33,8 +33,8 @@ class Strip(Pass):
                 func.metadata.clear()
                 changed = True
             for inst in func.instructions():
-                if inst.metadata:
-                    inst.metadata.clear()
+                if inst._metadata:
+                    inst._metadata = None
                     changed = True
         return changed
 
@@ -56,6 +56,6 @@ class StripNonDebug(Pass):
         for func in module.defined_functions():
             changed |= filter_md(func.metadata)
             for inst in func.instructions():
-                if inst.metadata:
-                    changed |= filter_md(inst.metadata)
+                if inst._metadata:
+                    changed |= filter_md(inst._metadata)
         return changed

@@ -19,10 +19,20 @@ engine memo hits consume (and report) zero.
 Evaluation itself is :class:`Shard`, which only *writes* the store:
 the client reads it and never sends a known result. ``workers=0`` runs
 the same class in-process, so both modes share one path to the store.
+
+Garbage collection: a forked worker starts with a copy of its parent's
+whole heap (programs, engine, policy), none of which it will free.
+:func:`worker_main` therefore calls :func:`gc.freeze` first, moving
+those inherited objects to the permanent generation, so the worker's
+collections walk only what it allocates itself and do not write to the
+pages it shares with its parent. The freeze is the worker's own
+decision about its own process; library code never freezes the
+caller's process, whose heap it does not own.
 """
 
 from __future__ import annotations
 
+import gc
 import pickle
 import sys
 import time
@@ -161,6 +171,7 @@ def worker_main(worker_id: int, request_queue, response_queue,
                 store_dir: Optional[str],
                 toolchain_config: Optional[Dict[str, Any]] = None) -> None:
     """Process entry point: serve requests until MSG_SHUTDOWN (or EOF)."""
+    gc.freeze()  # the inherited parent heap is never collected here
     # A forked worker inherits the parent's counters; start from zero so
     # the snapshot this worker ships back never double-counts the parent.
     tm.reset_for_child({"role": "worker", "worker": worker_id})

@@ -156,15 +156,17 @@ def _check_clone(source):
             for si, ci in zip(sb.instructions, cb.instructions):
                 assert type(ci) is type(si) and ci.parent is cb
                 assert all(hasattr(ci, slot) for slot in _slots(type(si)))
-                assert (ci.type, ci.opcode, ci.metadata) == \
-                    (si.type, si.opcode, si.metadata)
-                assert ci.metadata is not si.metadata
+                assert (ci.type, ci.opcode) == (si.type, si.opcode)
+                # metadata only when present, and never the source's dict
+                assert ci._metadata == (si._metadata or None)
+                assert ci._metadata is None or ci._metadata is not si._metadata
                 assert ci.name in (si.name, si.name + ".c")
     assert exec_signature(clone, "main") == exec_signature(source, "main")
     assert np.array_equal(extract_features(clone), extract_features(source))
     assert _reference_report(clone) == _reference_report(source)
 
-    # use lists are exactly what the operand lists say
+    # use lists are exactly what the operand slots say, users in the
+    # order they first appear in the clone
     expected = defaultdict(Counter)
     for inst in clone.instructions():
         for op in inst._operands:
@@ -172,7 +174,10 @@ def _check_clone(source):
                 expected[id(op)][inst] += 1
     mine = _reachable_values(clone)
     for value in mine.values():
-        assert value._uses == dict(expected.get(id(value), {})), value
+        slots = expected.get(id(value), Counter())
+        assert Counter(value._uses) == slots, value
+        assert value.users() == list(slots), value
+        assert value.num_uses == sum(slots.values()), value
 
     # nothing of the source is reachable from the clone (constants and
     # types are the shared immutable leaves)
@@ -216,7 +221,9 @@ class TestCloneModule:
         ghost = clone_instruction(x, {})  # never placed in a block
         x.set_operand(1, ghost)
         twin = clone_module(m).functions["f"].blocks[0].instructions[0]
-        assert twin.rhs is ghost and ghost._uses[twin] == 1
+        assert twin.rhs is ghost
+        assert Counter(ghost._uses) == Counter({x: 1, twin: 1})
+        assert ghost.users() == [x, twin]
 
     @pytest.mark.parametrize("name", ["adpcm", "aes", "blowfish", "dhrystone",
                                       "gsm", "matmul", "mpeg2", "qsort", "sha"])

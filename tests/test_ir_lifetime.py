@@ -35,10 +35,10 @@ class TestConstantsCarryNoUses:
         add = BinaryOperator("add", c, u, "a")
         add.set_operand(1, c)
         assert add.operands == (c, c)
-        assert c._uses == {} and u._uses == {}
+        assert c._uses == () and u._uses == ()  # no container to fill
         assert not c.is_used and c.users() == [] and c.num_uses == 0
         add.drop_all_references()
-        assert c._uses == {}
+        assert c._uses == ()
 
     def test_clones_leave_shared_constants_untouched(self, benchmarks):
         base = benchmarks["gsm"]
@@ -49,7 +49,7 @@ class TestConstantsCarryNoUses:
         shared = {id(op) for clone in clones for inst in clone.instructions()
                   for op in inst.operands if isinstance(op, ConstantInt)}
         assert shared == set(constants)  # the very same objects...
-        assert all(c._uses == {} for c in constants.values())  # ...still clean
+        assert all(c._uses == () for c in constants.values())  # ...still clean
 
 
 class TestDroppedClonesDie:

@@ -76,6 +76,23 @@ class TestUseTracking:
         assert a0.num_uses == 0
         assert x not in bb.instructions
 
+    def test_users_keep_first_use_order(self):
+        # x's second slot is recorded after y's: dropping one of x's slots
+        # must not move x behind y, and x leaves only with its last slot
+        f, bb = _block()
+        b = IRBuilder(bb)
+        a0, a1 = f.args
+        x = b.add(a0, a1, "x")
+        y = b.mul(a0, a1, "y")
+        x.set_operand(1, a0)
+        assert a0.users() == [x, y] and a0.num_uses == 3
+        x.set_operand(0, a1)
+        assert a0.users() == [x, y] and a0.num_uses == 2
+        x.set_operand(1, a1)
+        assert a0.users() == [y] and a0.num_uses == 1
+        x.set_operand(1, a0)
+        assert a0.users() == [y, x]
+
 
 class TestConstants:
     def test_int_constants_wrap(self):

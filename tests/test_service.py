@@ -3,8 +3,11 @@ store round-trips, cross-process bit-identical determinism (including the
 warm-start path), request coalescing, the toolchain backend toggle, and
 the Unix-socket server."""
 
+import gc
 import json
+import multiprocessing as mp
 import os
+import queue
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -27,6 +30,7 @@ from repro.service import (
     toolchain_fingerprint,
 )
 from repro.service.store import make_key
+from repro.service.worker import MSG_SHUTDOWN, worker_main
 from repro.toolchain import HLSToolchain, clone_module
 
 
@@ -767,3 +771,26 @@ class TestServiceFeaturePath:
         finally:
             request(socket_path, {"op": "shutdown"})
             thread.join(timeout=10)
+
+
+def _freeze_count_after_worker(out) -> None:
+    """Fork target: run a worker to its shutdown, report the freeze."""
+    requests, responses = queue.Queue(), queue.Queue()
+    requests.put((MSG_SHUTDOWN,))
+    worker_main(0, requests, responses, None)
+    out.put(gc.get_freeze_count())
+
+
+class TestWorkerProcess:
+    def test_worker_freezes_its_inherited_heap(self):
+        # in a child, so neither the freeze nor the worker's telemetry
+        # reset reaches this test process
+        ctx = mp.get_context("fork")
+        out = ctx.Queue()
+        child = ctx.Process(target=_freeze_count_after_worker, args=(out,))
+        child.start()
+        try:
+            assert out.get(timeout=60) > 0
+        finally:
+            child.join(timeout=60)
+        assert child.exitcode == 0
