@@ -83,7 +83,7 @@ since the Table-2 feature vector depends only on the optimized module.
 level without materializing anything; misses clone from the deepest
 trie snapshot and *compose* the vector from per-function
 contributions cached in the process-wide
-:func:`repro.features.shared_extractor` (same structural body hash as
+:func:`repro.features.shared_extractor` (same structural digest as
 the profiler's schedule cache, so only functions a pass actually changed
 get re-walked). Feature queries never profile and never count toward
 ``samples_taken``.

@@ -22,7 +22,7 @@ from ..interp.kernels import VerificationError
 from ..ir.cloning import clone_module
 from ..ir.module import Module
 from ..passes import PassManager
-from ..passes.registry import TERMINATE_INDEX, pass_name_for_index
+from ..passes.registry import PASS_TABLE, TERMINATE_INDEX, pass_name_for_index
 from .memo import (
     CRASHED,
     FAILED_BUDGET,
@@ -49,8 +49,6 @@ def canonicalize_sequence(actions: Sequence[Action]) -> Tuple[Element, ...]:
     their first table index so name- and index-addressed evaluations share
     cache entries. Names outside the table are kept verbatim.
     """
-    from ..passes.registry import PASS_TABLE
-
     out: List[Element] = []
     for action in actions:
         if isinstance(action, str):

@@ -17,7 +17,7 @@ features in Table 2), so the module vector **composes**: it is the sum
 of the per-function vectors over ``module.defined_functions()``. That
 composition rule is what makes extraction incremental —
 :class:`FeatureExtractor` caches per-function vectors under the same
-structural body hash the profiler's incremental scheduler uses
+structural digest the profiler's incremental scheduler uses
 (:func:`repro.hls.hashing.module_structural_keys`, the one hash walk per
 module version the profiler shares), so a pass application only
 re-extracts the functions it actually changed, and clones of a function
@@ -183,7 +183,7 @@ class FeatureExtractor:
     Two cache layers, invalidated purely by content-addressing (no
     explicit invalidation hooks anywhere):
 
-    * **function cache** — ``structural_key(func)`` → per-function
+    * **function cache** — ``func``'s structural digest → per-function
       vector, LRU-bounded, shared across modules and clones. A pass
       application only pays the walk for functions whose body hash
       changed; everything else (including every clone, which renames all

@@ -19,17 +19,36 @@ functions with equal keys have isomorphic bodies under the encoding and
 therefore identical block schedules, which is what makes the profiler's
 per-function schedule cache sound.
 
-:func:`module_structural_keys` is the one front door for "the keys of
-every defined function of this module": memoized per ``(module,
-Module.version)``, so the feature extractor, the profiler's schedule
-cache, the kernel/plan caches and the batch executor's execution
-signature share a single hash walk per module version — whichever runs
-first pays, the others hit. ``PassManager`` bumps ``Module.version``
-after every pass, which is the whole invalidation contract.
+:func:`module_structural_keys` is the one front door for "the cache keys
+of every defined function of this module", and the only place keys are
+computed. A function's cache key is a 16-byte *structural digest*:
+``blake2b(repr(structural_key(func)), digest_size=16)``. The schedule,
+kernel, plan and feature caches and the batch executor's execution
+signature all key on it, so a cached body costs one bytes object (whose
+hash CPython caches) instead of a nested tuple with one 4-tuple per
+instruction that lives as long as the longest-lived cache entry. The
+128-bit width is the one the persistent store already trusts in its
+shard names (``fingerprint[:32]``); a collision among the bodies one
+process ever sees is beyond any practical corpus. :func:`structural_key`
+is still the definition of body equality: two functions share a digest
+exactly when their tuples are equal (``tests/test_structural_digest.py``
+checks the partition), and ``repr`` of the tuple — strings, ints, bools
+and nested tuples only — does not depend on ``PYTHONHASHSEED``.
+:func:`repro.service.fingerprint.program_fingerprint` hashes the tuples
+themselves, not the digests, so fingerprints and store shard names do
+not depend on this cache-key encoding.
+
+The keys are memoized per ``(module, Module.version)``, so the feature
+extractor, the profiler's schedule cache, the kernel/plan caches and the
+batch executor's execution signature share a single hash walk per module
+version — whichever runs first pays, the others hit. ``PassManager``
+bumps ``Module.version`` after every pass, which is the whole
+invalidation contract.
 """
 
 from __future__ import annotations
 
+import hashlib
 import threading
 import weakref
 from typing import Dict, Optional, Tuple
@@ -59,24 +78,29 @@ from ..ir.values import (
 
 __all__ = ["structural_key", "module_structural_keys"]
 
-# module -> (Module.version, {function name: key}). Values are keyed by
-# *name*, never by Function: a function references its module, and a weak
-# memo whose value reaches back to its key never lets the entry die.
+# module -> (Module.version, {function name: digest}). Values are keyed
+# by *name*, never by Function: a function references its module, and a
+# weak memo whose value reaches back to its key never lets the entry die.
 _keys_lock = threading.Lock()
-_keys_memo: "weakref.WeakKeyDictionary[Module, Tuple[int, Dict[str, Tuple]]]" = (
+_keys_memo: "weakref.WeakKeyDictionary[Module, Tuple[int, Dict[str, bytes]]]" = (
     weakref.WeakKeyDictionary())
 
 
-def module_structural_keys(module: Module) -> Dict[Function, Tuple]:
-    """``{function: structural_key(function)}`` for every defined
-    function of ``module``, hashed at most once per ``Module.version``."""
+def _digest(key: Tuple) -> bytes:
+    return hashlib.blake2b(repr(key).encode(), digest_size=16).digest()
+
+
+def module_structural_keys(module: Module) -> Dict[Function, bytes]:
+    """``{function: 16-byte digest of structural_key(function)}`` for
+    every defined function of ``module``, hashed at most once per
+    ``Module.version``."""
     version = module.version
     functions = module.defined_functions()
     with _keys_lock:
         entry = _keys_memo.get(module)
     if entry is None or entry[0] != version:
         escapes_memo: Dict[Value, bool] = {}
-        entry = (version, {func.name: structural_key(func, escapes_memo)
+        entry = (version, {func.name: _digest(structural_key(func, escapes_memo))
                            for func in functions})
         with _keys_lock:
             _keys_memo[module] = entry

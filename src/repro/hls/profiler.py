@@ -122,7 +122,7 @@ class CycleProfiler:
         # mode is NOT part of any cache key or toolchain fingerprint.
         self.sim_kernels = sim_kernels_mode(sim_kernels)
         # structural key -> per-block state counts (block order positional)
-        self._schedule_cache: "OrderedDict[Tuple, List[int]]" = OrderedDict()
+        self._schedule_cache: "OrderedDict[bytes, List[int]]" = OrderedDict()
         self._schedule_cache_size = schedule_cache_size
         self.schedule_cache_hits = 0
         self.schedule_cache_misses = 0

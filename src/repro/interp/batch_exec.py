@@ -2,10 +2,10 @@
 
 Every GA/PSO generation, vec-env wave and ``evaluate_batch`` call scores
 a population of candidate modules. The kernel cache already dedups their
-*compilation* (one kernel per structural body hash); this module dedups
+*compilation* (one kernel per structural digest); this module dedups
 their *execution*: lanes whose modules are execution-equivalent (same
 global contents in allocation order, same defined functions by name and
-structural body hash) run once, and the result fans back out with
+structural digest) run once, and the result fans back out with
 per-lane ``block_counts`` remapped onto each module's own
 :class:`BasicBlock` objects. Populations are full of such lanes: any
 pass that happens to be a no-op on a candidate yields a clone with a
@@ -81,9 +81,10 @@ def exec_signature(module: Module, entry: str,
                    keys: Optional[Dict] = None) -> Tuple:
     """Hashable identity of everything an execution can observe: globals
     in *allocation order* (segment ids are observable through pointer
-    values), declarations by name, defined functions by (name,
-    structural body hash), and the entry point. Equal signatures imply
-    bit-identical executions. Memoized per ``(module, Module.version)``."""
+    values), declarations by name, defined functions by (name, 16-byte
+    structural digest from :func:`repro.hls.hashing.module_structural_keys`),
+    and the entry point. Equal signatures imply bit-identical executions.
+    Memoized per ``(module, Module.version)``."""
     global _sig_memo_hits, _sig_memo_misses
     version = module.version
     with _sig_lock:

@@ -55,13 +55,13 @@ Scalar = Union[int, float, MemPointer, None]
 
 # -- cross-instance block-plan cache ------------------------------------------
 # A block plan's handler bindings depend only on the instruction-class
-# sequence, which the structural body hash pins positionally — so plans
+# sequence, which the structural digest pins positionally — so plans
 # built for one Interpreter transfer to any later instance executing a
 # structurally identical function (clones, pass-untouched functions). The
 # cache stores the module-independent skeleton (phi count + handler tuple
 # per block); each Interpreter zips it with its own instruction objects.
 _PLAN_CACHE_SIZE = 1024
-_plan_cache: "OrderedDict[Tuple, List[Tuple[int, Tuple]]]" = OrderedDict()
+_plan_cache: "OrderedDict[bytes, List[Tuple[int, Tuple]]]" = OrderedDict()
 _plan_lock = threading.Lock()
 _plan_hits = 0
 _plan_misses = 0
@@ -116,11 +116,11 @@ class Interpreter:
     """Executes one module. Construct fresh per execution."""
 
     def __init__(self, module: Module, max_steps: int = 1_000_000, max_call_depth: int = 64,
-                 plan_keys: Optional[Dict[Function, Tuple]] = None) -> None:
+                 plan_keys: Optional[Dict[Function, bytes]] = None) -> None:
         self.module = module
         self.max_steps = max_steps
         self.max_call_depth = max_call_depth
-        # structural body hash per function (when the caller — typically the
+        # structural digest per function (when the caller — typically the
         # profiler — already computed them); unlocks the cross-instance
         # block-plan cache. Without keys, plans are built lazily as before.
         self._plan_keys = plan_keys or {}

@@ -27,8 +27,9 @@ This module compiles each function's CFG once into a flat form:
 Compiled kernels are **module-independent**: globals and callees are
 referenced by index into per-execution binding tables resolved by name,
 so one kernel serves every clone and every structurally identical
-function. The cache is keyed by the same structural body hash
-(:func:`repro.hls.hashing.structural_key`) the schedule and feature
+function. The cache is keyed by the same 16-byte structural digest
+(:func:`repro.hls.hashing.module_structural_keys`, a digest of
+:func:`repro.hls.hashing.structural_key`) the schedule and feature
 caches use.
 
 Bit-identity contract: for any module, :class:`KernelInterpreter` and
@@ -856,14 +857,15 @@ class _FunctionCompiler:
 # -- kernel cache -------------------------------------------------------------
 
 _KERNEL_CACHE_SIZE = 1024
-_kernel_cache: "OrderedDict[Tuple, CompiledFunction]" = OrderedDict()
+_kernel_cache: "OrderedDict[bytes, CompiledFunction]" = OrderedDict()
 _kernel_lock = threading.Lock()
 _kernel_hits = 0
 _kernel_misses = 0
 
 
-def compiled_for(func: Function, key: Tuple) -> CompiledFunction:
-    """The compiled kernel for ``func``, cached under its structural key."""
+def compiled_for(func: Function, key: bytes) -> CompiledFunction:
+    """The compiled kernel for ``func``, cached under ``key``, its 16-byte
+    structural digest from :func:`repro.hls.hashing.module_structural_keys`."""
     global _kernel_hits, _kernel_misses
     with _kernel_lock:
         cf = _kernel_cache.get(key)
@@ -900,7 +902,7 @@ def clear_kernel_cache() -> None:
 class KernelInterpreter:
     """Executes one module through compiled kernels. Fresh per execution.
 
-    ``keys`` maps defined functions to their structural body hash; the
+    ``keys`` maps defined functions to their structural digests; the
     caller (the profiler) usually computed them already for the schedule
     cache; without them they come off the same per-module-version memo
     (:func:`repro.hls.hashing.module_structural_keys`), so kernels,
@@ -909,7 +911,7 @@ class KernelInterpreter:
 
     def __init__(self, module: Module, max_steps: int = 1_000_000,
                  max_call_depth: int = 64,
-                 keys: Optional[Dict[Function, Tuple]] = None) -> None:
+                 keys: Optional[Dict[Function, bytes]] = None) -> None:
         from ..hls.hashing import module_structural_keys
 
         self.module = module

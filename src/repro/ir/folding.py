@@ -19,6 +19,7 @@ Deliberate total-function choices (documented for reviewers):
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Union
 
@@ -168,7 +169,11 @@ def eval_cast(opcode: str, src_type: ty.Type, dest_type: ty.Type, value: Number)
 # parity property is pinned by tests/test_kernels.py); the scalar coercions
 # (`int()`/`float()`) that the reference interpreter applies at its call
 # sites are folded into the closures so callers can pass raw runtime values.
+# A closure depends only on the factory's arguments (an opcode or predicate
+# and interned types), so each factory is memoized: every compiled kernel
+# shares one closure per (opcode, types) instead of holding its own.
 
+@functools.cache
 def int_binop_fn(opcode: str, type_: ty.IntType):
     """A closure ``f(a, b)`` equal to ``eval_int_binop(opcode, type_, int(a), int(b))``.
 
@@ -244,6 +249,7 @@ def int_binop_fn(opcode: str, type_: ty.IntType):
     raise ValueError(f"unknown integer binop: {opcode}")
 
 
+@functools.cache
 def float_binop_fn(opcode: str):
     """A closure ``f(a, b)`` equal to ``eval_float_binop(opcode, float(a), float(b))``."""
     if opcode == "fadd":
@@ -262,6 +268,7 @@ def float_binop_fn(opcode: str):
     raise ValueError(f"unknown float binop: {opcode}")
 
 
+@functools.cache
 def icmp_fn(pred: str, type_: ty.IntType):
     """A closure ``f(a, b)`` equal to ``eval_icmp(pred, type_, int(a), int(b))``."""
     mask = (1 << type_.bits) - 1
@@ -288,6 +295,7 @@ def icmp_fn(pred: str, type_: ty.IntType):
     raise ValueError(f"unknown icmp predicate: {pred}")
 
 
+@functools.cache
 def fcmp_fn(pred: str):
     """A closure ``f(a, b)`` equal to ``eval_fcmp(pred, float(a), float(b))``."""
     if pred not in ("oeq", "one", "olt", "ole", "ogt", "oge"):
@@ -295,6 +303,7 @@ def fcmp_fn(pred: str):
     return lambda a, b, _p=pred: eval_fcmp(_p, float(a), float(b))
 
 
+@functools.cache
 def cast_fn(opcode: str, src_type: ty.Type, dest_type: ty.Type):
     """A closure ``f(v)`` equal to ``eval_cast(opcode, src_type, dest_type, v)``
     for non-pointer runtime values (the pointer cases stay with the caller)."""
